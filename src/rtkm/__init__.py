@@ -1,6 +1,6 @@
 """Robust trimmed k-means clustering with simultaneous outlier detection."""
 
-from .geometry import CappedSimplexSpec, project_capped_simplex, project_columns
+from .geometry import project_columns, project_mass
 from .solver import (
     ALGORITHMS,
     ConfigError,
@@ -33,7 +33,6 @@ from .data import (
 
 __all__ = [
     "ALGORITHMS",
-    "CappedSimplexSpec",
     "Clustering",
     "ConfigError",
     "DataError",
@@ -57,8 +56,8 @@ __all__ = [
     "me_score",
     "objective_kmeans",
     "objective_rtkm",
-    "project_capped_simplex",
     "project_columns",
+    "project_mass",
     "save_csv",
     "standardize",
     "to_dataset",

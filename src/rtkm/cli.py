@@ -66,7 +66,7 @@ def build_parser():
     p_sweep.add_argument("--algorithm", choices=sorted(ALGORITHMS), required=True)
     _add_dataset_args(p_sweep)
     _add_config_args(p_sweep)
-    p_sweep.add_argument("--alpha-grid", required=True,
+    p_sweep.add_argument("--alpha-grid", required=True, type=parse_alpha_grid,
                          help="comma-separated alpha values in [0,1)")
     p_sweep.add_argument("--restarts", type=int, default=10)
     p_sweep.add_argument("--out", required=True, help="sweep CSV path")
@@ -76,6 +76,17 @@ def build_parser():
     _add_dataset_args(p_eval)
     p_eval.add_argument("--out", help="metrics JSON path (default: stdout)")
     return parser
+
+
+def parse_alpha_grid(text):
+    try:
+        grid = [float(a) for a in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad alpha grid {text!r}") from None
+    for alpha in grid:
+        if not 0.0 <= alpha < 1.0:
+            raise argparse.ArgumentTypeError(f"alpha {alpha!r} must lie in [0, 1)")
+    return grid
 
 
 def parse_synth_spec(text):
@@ -210,12 +221,12 @@ def cmd_sweep(args):
     truth = truth_clustering(dataset)
     has_outlier_truth = (dataset.truth_outliers is not None
                          and 0 < dataset.truth_outliers.sum() < dataset.n_points)
-    grid = [float(a) for a in args.alpha_grid.split(",")]
     if args.restarts < 1:
         raise datamod.DataError("--restarts must be >= 1")
 
     rows = []
-    for alpha in grid:
+    fatal = failure = None
+    for alpha in args.alpha_grid:
         f1s, mes = [], []
         for r in range(args.restarts):
             config = make_config(args, alpha=alpha, seed=args.seed + r)
@@ -227,6 +238,9 @@ def cmd_sweep(args):
             except (ConfigError, MetricError, FloatingPointError) as exc:
                 print(f"warning: alpha={alpha} seed={config.seed} failed: {exc}",
                       file=sys.stderr)
+                failure = exc
+        if not f1s:  # every restart at this alpha failed
+            fatal = failure
         rows.append([repr(alpha), str(args.restarts)] + _stats(f1s) + _stats(mes))
 
     with open(args.out, "w", newline="") as fh:
@@ -235,6 +249,8 @@ def cmd_sweep(args):
                          "me_min", "me_mean", "me_max"])
         writer.writerows(rows)
     print(f"sweep: wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    if fatal is not None:
+        raise fatal
     return 0
 
 

@@ -2,12 +2,12 @@
 
 The capped simplex with mass s in dimension n is the set
 {w in [0,1]^n : sum(w) = s}.  The projection of y is clip(y - tau, 0, 1)
-for the scalar tau solving sum(clip(y - tau, 0, 1)) = s; that function of
-tau is piecewise linear and nonincreasing, so tau is found exactly by
-scanning its 2n breakpoints {y_j - 1, y_j}.
+for the scalar tau solving f(tau) = sum(clip(y - tau, 0, 1)) = s; f is
+piecewise linear and nonincreasing with breakpoints {y_j - 1, y_j}, so tau
+is found exactly by bisecting over the 2n sorted breakpoints for the
+segment where f crosses s and interpolating on it (Wang & Lu, "Projection
+onto the Capped Simplex", arXiv:1503.01002).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,75 +16,11 @@ class InfeasibleSimplexError(ValueError):
     """Requested mass lies outside [0, dimension]."""
 
 
-@dataclass(frozen=True)
-class CappedSimplexSpec:
-    """Target set {w in [0,1]^dimension : sum(w) = mass}."""
-
-    dimension: int
-    mass: float
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise InfeasibleSimplexError("dimension must be a positive integer")
-        if not np.isfinite(self.mass) or self.mass < 0 or self.mass > self.dimension:
-            raise InfeasibleSimplexError(
-                f"mass {self.mass} must lie in [0, {self.dimension}]"
-            )
-
-
-def project_capped_simplex(y, spec: CappedSimplexSpec) -> np.ndarray:
-    """Euclidean projection of a vector onto the capped simplex.
-
-    Exact in O(n log n) via the breakpoint scan; raises on non-finite
-    input or an infeasible spec.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    if y.size != spec.dimension:
-        raise ValueError(f"vector length {y.size} != spec dimension {spec.dimension}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("input vector contains non-finite entries")
-    n = y.size
-    mass = float(spec.mass)
-    if mass == 0.0:
-        return np.zeros(n)
-    if mass == n:
-        return np.ones(n)
-    tau = _threshold(y, mass)
-    return np.clip(y - tau, 0.0, 1.0)
-
-
-def project_mass(y, mass: float) -> np.ndarray:
-    """Shorthand for projecting onto the mass-capped simplex of len(y)."""
-    y = np.asarray(y, dtype=float)
-    return project_capped_simplex(y, CappedSimplexSpec(y.size, mass))
-
-
-def _threshold(y: np.ndarray, mass: float) -> float:
-    # f(t) = sum(clip(y - t, 0, 1)) evaluated at every breakpoint via
-    # sorted cumulative sums; then linear interpolation on the crossing
-    # segment.  Exact up to floating arithmetic.
-    n = y.size
-    ys = np.sort(y)
-    csum = np.concatenate(([0.0], np.cumsum(ys)))
-    bps = np.sort(np.concatenate((ys - 1.0, ys)))
-    hi = np.searchsorted(ys, bps + 1.0, side="left")
-    lo = np.searchsorted(ys, bps, side="right")
-    f = (n - hi) + (csum[hi] - csum[lo]) - bps * (hi - lo)
-    idx = int(np.sum(f >= mass)) - 1  # f is nonincreasing; f[0] = n, f[-1] = 0
-    tau0 = bps[idx]
-    active = np.count_nonzero((y - 1.0 <= tau0) & (y > tau0))
-    if active == 0:
-        return float(tau0)
-    return float(tau0 + (f[idx] - mass) / active)
-
-
 def project_columns(Y, mass: float) -> np.ndarray:
     """Project every column of an (n, B) matrix onto the mass-capped simplex.
 
-    Batched form of project_capped_simplex used for the per-point weight
-    columns of the solvers; intended for small n (the cluster count).
+    Exact in O(nB log n) time and O(nB) memory; raises on non-finite input
+    or a mass outside [0, n].
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -92,18 +28,33 @@ def project_columns(Y, mass: float) -> np.ndarray:
     n, b = Y.shape
     if not np.all(np.isfinite(Y)):
         raise ValueError("input matrix contains non-finite entries")
-    if mass < 0 or mass > n:
+    if not np.isfinite(mass) or mass < 0 or mass > n:
         raise InfeasibleSimplexError(f"mass {mass} must lie in [0, {n}]")
     if mass == 0.0:
         return np.zeros_like(Y)
     if mass == n:
         return np.ones_like(Y)
     bps = np.sort(np.concatenate((Y - 1.0, Y), axis=0), axis=0)  # (2n, B)
-    f = np.clip(Y[None, :, :] - bps[:, None, :], 0.0, 1.0).sum(axis=1)  # (2n, B)
-    idx = np.sum(f >= mass, axis=0) - 1
     cols = np.arange(b)
-    tau0 = bps[idx, cols]
-    f0 = f[idx, cols]
+
+    def f(tau):  # summed over rows in order, so each column's f is monotone
+        return np.clip(Y - tau, 0.0, 1.0).sum(axis=0)
+
+    # Largest breakpoint index with f >= mass: f(bps[0]) = n, f(bps[-1]) = 0.
+    lo = np.zeros(b, dtype=np.intp)
+    hi = np.full(b, 2 * n - 1, dtype=np.intp)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        ge = f(bps[mid, cols]) >= mass
+        lo = np.where(ge, mid, lo)
+        hi = np.where(ge, hi, mid)
+    tau0 = bps[lo, cols]
+    f0 = f(tau0)
     active = np.count_nonzero((Y - 1.0 <= tau0) & (Y > tau0), axis=0)
     tau = np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
     return np.clip(Y - tau, 0.0, 1.0)
+
+
+def project_mass(y, mass: float) -> np.ndarray:
+    """Project a vector onto the mass-capped simplex of len(y)."""
+    return project_columns(np.asarray(y, dtype=float)[:, None], mass)[:, 0]

@@ -7,7 +7,9 @@ with the columns of W constrained to the s-capped simplex and, for RTKM,
 the inlier vector v constrained to the (N - [alpha*N])-capped simplex.
 The relaxed solver and RTKM use proximal (projected) block updates for W
 and v with fixed step divisors d, e > 1; the center update is the exact
-weighted mean.
+weighted mean.  Two engines run the four solvers: the hard engine
+(_hard_fit) runs k-means and trimmed k-means, the soft engine (_pam_fit)
+runs relaxed k-means and RTKM.
 """
 
 from dataclasses import dataclass
@@ -122,16 +124,20 @@ class FitResult:
 
 
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(k, N) matrix of squared Euclidean distances ||x_i - c_j||^2."""
-    return cdist(centers.T, points.T, metric="sqeuclidean")
+    """(k, N) matrix of squared Euclidean distances ||x_i - c_j||^2.
+
+    Raises FloatingPointError when a distance overflows to a non-finite value.
+    """
+    d2 = cdist(centers.T, points.T, metric="sqeuclidean")
+    if not np.isfinite(d2).all():
+        raise FloatingPointError("squared distances overflow; rescale the data")
+    return d2
 
 
 def objective_kmeans(data: Dataset, centers: np.ndarray, memberships: np.ndarray) -> float:
-    """Weighted k-means objective sum_ji w_ji ||x_i - c_j||^2."""
-    centers = np.asarray(centers, dtype=float)
-    memberships = np.asarray(memberships, dtype=float)
-    _check_dims(data, centers, memberships)
-    return float((memberships * squared_distances(data.points, centers)).sum())
+    """Weighted k-means objective sum_ji w_ji ||x_i - c_j||^2 (objective_rtkm
+    with every inlier weight 1)."""
+    return objective_rtkm(data, centers, memberships, np.ones(data.n_points))
 
 
 def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
@@ -140,32 +146,34 @@ def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
     centers = np.asarray(centers, dtype=float)
     memberships = np.asarray(memberships, dtype=float)
     inliers = np.asarray(inliers, dtype=float)
-    _check_dims(data, centers, memberships)
+    if centers.ndim != 2 or centers.shape[0] != data.n_features:
+        raise ConfigError("centers must be m x k")
+    if memberships.shape != (centers.shape[1], data.n_points):
+        raise ConfigError("membership matrix must be k x N")
     if inliers.shape != (data.n_points,):
         raise ConfigError("inlier vector length must equal N")
     per_point = (memberships * squared_distances(data.points, centers)).sum(axis=0)
     return float((inliers * per_point).sum())
 
 
-def _check_dims(data, centers, memberships):
-    if centers.ndim != 2 or centers.shape[0] != data.n_features:
-        raise ConfigError("centers must be m x k")
-    if memberships.shape != (centers.shape[1], data.n_points):
-        raise ConfigError("membership matrix must be k x N")
-
-
 def init_centers(data: Dataset, config: SolverConfig) -> np.ndarray:
     """Seeded initial centers: k distinct data columns (random-points) or
     squared-distance-proportional sampling (kmeans++)."""
-    rng = np.random.default_rng(config.seed)
-    return _choose_centers(data.points, config.k, config.init, rng)
+    return _start_centers(data, config, None, np.random.default_rng(config.seed))
 
 
-def _choose_centers(X, k, mode, rng):
-    n = X.shape[1]
+def _start_centers(data, config, initial_centers, rng):
+    """A validated copy of initial_centers, or k centers drawn with rng."""
+    X = data.points
+    k, n = config.k, data.n_points
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of points N={n}")
-    if mode == "random-points":
+    if initial_centers is not None:
+        C = np.asarray(initial_centers, dtype=float).copy()
+        if C.shape != (data.n_features, k):
+            raise ConfigError("initial_centers must be m x k")
+        return C
+    if config.init == "random-points":
         idx = rng.choice(n, size=k, replace=False)
         return X[:, idx].copy()
     # kmeans++
@@ -173,6 +181,8 @@ def _choose_centers(X, k, mode, rng):
     d2 = ((X - X[:, idx[0]][:, None]) ** 2).sum(axis=0)
     for _ in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise FloatingPointError("kmeans++ distances overflow; rescale the data")
         if total <= 0:
             choices = np.setdiff1d(np.arange(n), idx)
             nxt = int(rng.choice(choices))
@@ -194,39 +204,33 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float,
     """
     w = np.asarray(memberships, dtype=float)
     v = np.asarray(inliers, dtype=float)
-    n = w.shape[1]
+    k, n = w.shape
     n_out = trim_count(alpha, n)
     flags = np.zeros(n, dtype=bool)
     if n_out > 0:
         flags[np.argsort(v, kind="stable")[:n_out]] = True
-    sets = []
-    for i in range(n):
-        if flags[i]:
-            sets.append(frozenset())
-        elif s == 1:
-            sets.append(frozenset((int(np.argmax(w[:, i])),)))
-        else:
-            sets.append(frozenset(np.flatnonzero(w[:, i] > support_eps).tolist()))
+    if s == 1:
+        singles = [frozenset((j,)) for j in range(k)]
+        best = w.argmax(axis=0).tolist()
+        sets = [frozenset() if out else singles[j] for j, out in zip(best, flags.tolist())]
+    else:
+        support = w > support_eps
+        support[:, flags] = False
+        _, clusters = np.nonzero(support.T)  # point-major: each point's clusters in a run
+        ends = np.cumsum(support.sum(axis=0)).tolist()
+        clusters = clusters.tolist()
+        sets = [frozenset(clusters[a:b]) for a, b in zip([0] + ends[:-1], ends)]
     return tuple(sets), flags
 
 
-def fit_kmeans(data: Dataset, config: SolverConfig, initial_centers=None) -> FitResult:
-    """Lloyd's algorithm: alternate nearest-center assignment and mean
-    updates until the assignment repeats or max_iters."""
-    if config.s != 1:
-        raise ConfigError("k-means requires s = 1")
-    X = data.points
-    C = _start_centers(data, config, initial_centers)
-    assign, C, trace, iters, converged, reason = _lloyd(X, C, config.max_iters)
-    W = _one_hot(assign, config.k)
-    sets = tuple(frozenset((int(j),)) for j in assign)
-    n = data.n_points
+def _fit_result(C, W, v, alpha, config, trace, iters, converged, reason):
+    sets, flags = hard_assign(W, v, alpha, s=config.s, support_eps=config.support_eps)
     return FitResult(
         centers=C,
         memberships=W,
-        inliers=np.ones(n),
+        inliers=v,
         hard_assignments=sets,
-        outlier_flags=np.zeros(n, dtype=bool),
+        outlier_flags=flags,
         objective_trace=tuple(trace),
         iterations=iters,
         converged=converged,
@@ -234,47 +238,53 @@ def fit_kmeans(data: Dataset, config: SolverConfig, initial_centers=None) -> Fit
     )
 
 
-def _lloyd(X, C, max_iters):
-    C = C.copy()
-    k = C.shape[1]
+def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) -> FitResult:
+    """The hard engine.  A Lloyd phase with nothing trimmed alternates
+    nearest-center assignment and mean updates; with trim, a trimming phase
+    follows in which each step first trims the [alpha*N] points furthest from
+    their centers and updates the centers from the rest.  Each phase stops
+    when its partition repeats or after max_iters steps."""
+    X = data.points
+    n, k = data.n_points, config.k
+    cols = np.arange(n)
+    C = _start_centers(data, config, initial_centers, np.random.default_rng(config.seed))
     d2 = squared_distances(X, C)
     assign = d2.argmin(axis=0)
-    trace = [float(d2[assign, np.arange(X.shape[1])].sum())]
-    converged = False
-    reason = "max_iters"
+    trimmed = np.zeros(n, dtype=bool)
+    trace = [float(d2[assign, cols].sum())]
     iters = 0
-    for iters in range(1, max_iters + 1):
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                C[:, j] = X[:, members].mean(axis=1)
-            # empty cluster: keep the previous center
-        d2 = squared_distances(X, C)
-        new_assign = d2.argmin(axis=0)
-        trace.append(float(d2[new_assign, np.arange(X.shape[1])].sum()))
-        if np.array_equal(new_assign, assign):
-            assign = new_assign
-            converged = True
-            reason = "assignments_stable"
-            break
-        assign = new_assign
-    return assign, C, trace, iters, converged, reason
+    phases = (0, trim_count(config.alpha, n)) if trim else (0,)
+    for n_trim in phases:
+        converged = False
+        for _ in range(config.max_iters):
+            iters += 1
+            new_trimmed = np.zeros(n, dtype=bool)
+            if n_trim > 0:  # d2 holds the distances to the current centers
+                new_trimmed[np.argsort(-d2[assign, cols], kind="stable")[:n_trim]] = True
+            for j in range(k):
+                members = (assign == j) & ~new_trimmed
+                if members.any():
+                    C[:, j] = X[:, members].mean(axis=1)
+                # empty cluster: keep the previous center
+            d2 = squared_distances(X, C)
+            new_assign = d2.argmin(axis=0)
+            trace.append(float(d2[new_assign, cols][~new_trimmed].sum()))
+            converged = (np.array_equal(new_assign, assign)
+                         and np.array_equal(new_trimmed, trimmed))
+            assign, trimmed = new_assign, new_trimmed
+            if converged:
+                break
+    reason = "max_iters"
+    if converged:
+        reason = "partition_stable" if trim else "assignments_stable"
+    return _fit_result(C, _one_hot(assign, k), (~trimmed).astype(float),
+                       config.alpha if trim else 0.0, config, trace, iters, converged, reason)
 
 
 def _one_hot(assign, k):
     W = np.zeros((k, assign.size))
     W[assign, np.arange(assign.size)] = 1.0
     return W
-
-
-def _start_centers(data, config, initial_centers):
-    if initial_centers is not None:
-        C = np.asarray(initial_centers, dtype=float).copy()
-        if C.shape != (data.n_features, config.k):
-            raise ConfigError("initial_centers must be m x k")
-        return C
-    rng = np.random.default_rng(config.seed)
-    return _choose_centers(data.points, config.k, config.init, rng)
 
 
 def _initial_weights(G0, v0, config, rng):
@@ -298,23 +308,17 @@ def _initial_weights(G0, v0, config, rng):
 
 
 def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=None) -> FitResult:
+    """The soft engine: proximal block updates of the centers, W and v."""
     X = data.points
     n = data.n_points
-    k, s = config.k, config.s
-    if k > n:
-        raise ConfigError(f"k={k} exceeds the number of points N={n}")
+    s = config.s
     n_out = trim_count(alpha, n)
     if n_out >= n:
         raise ConfigError("alpha trims every point; no inliers remain")
     inlier_mass = n - n_out
 
-    rng = np.random.default_rng(config.seed)
-    if initial_centers is not None:
-        C = np.asarray(initial_centers, dtype=float).copy()
-        if C.shape != (data.n_features, k):
-            raise ConfigError("initial_centers must be m x k")
-    else:
-        C = _choose_centers(X, k, config.init, rng)
+    rng = np.random.default_rng(config.seed)  # draws the centers, then W
+    C = _start_centers(data, config, initial_centers, rng)
     v = np.full(n, inlier_mass / n)
     G = squared_distances(X, C)
     W = _initial_weights(G, v, config, rng)
@@ -343,18 +347,15 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
             break
         prev_obj = obj
 
-    sets, flags = hard_assign(W, v, alpha, s=s, support_eps=config.support_eps)
-    return FitResult(
-        centers=C,
-        memberships=W,
-        inliers=v,
-        hard_assignments=sets,
-        outlier_flags=flags,
-        objective_trace=tuple(trace),
-        iterations=iters,
-        converged=converged,
-        stop_reason=reason,
-    )
+    return _fit_result(C, W, v, alpha, config, trace, iters, converged, reason)
+
+
+def fit_kmeans(data: Dataset, config: SolverConfig, initial_centers=None) -> FitResult:
+    """Lloyd's algorithm: alternate nearest-center assignment and mean
+    updates until the assignment repeats or max_iters."""
+    if config.s != 1:
+        raise ConfigError("k-means requires s = 1")
+    return _hard_fit(data, config, initial_centers, trim=False)
 
 
 def fit_relaxed_kmeans(data: Dataset, config: SolverConfig, initial_centers=None) -> FitResult:
@@ -375,54 +376,9 @@ def fit_trimmed_kmeans(data: Dataset, config: SolverConfig, initial_centers=None
     the remainder, reassign} until the partition stabilizes."""
     if config.s != 1:
         raise ConfigError("trimmed k-means requires s = 1")
-    X = data.points
-    n = data.n_points
-    n_out = trim_count(config.alpha, n)
-    if config.k > n - n_out:
+    if config.k > data.n_points - trim_count(config.alpha, data.n_points):
         raise ConfigError("k exceeds the number of untrimmed points")
-
-    C = _start_centers(data, config, initial_centers)
-    assign, C, trace, iters, _, _ = _lloyd(X, C, config.max_iters)
-    trace = list(trace)
-    cols = np.arange(n)
-    trimmed = np.zeros(n, dtype=bool)
-    converged = False
-    reason = "max_iters"
-    for _ in range(config.max_iters):
-        iters += 1
-        d2 = squared_distances(X, C)
-        dist_own = d2[assign, cols]
-        new_trimmed = np.zeros(n, dtype=bool)
-        if n_out > 0:
-            new_trimmed[np.argsort(-dist_own, kind="stable")[:n_out]] = True
-        for j in range(config.k):
-            members = (assign == j) & ~new_trimmed
-            if members.any():
-                C[:, j] = X[:, members].mean(axis=1)
-        d2 = squared_distances(X, C)
-        new_assign = d2.argmin(axis=0)
-        trace.append(float(d2[new_assign, cols][~new_trimmed].sum()))
-        if np.array_equal(new_assign, assign) and np.array_equal(new_trimmed, trimmed):
-            converged = True
-            reason = "partition_stable"
-            assign, trimmed = new_assign, new_trimmed
-            break
-        assign, trimmed = new_assign, new_trimmed
-
-    sets = tuple(
-        frozenset() if trimmed[i] else frozenset((int(assign[i]),)) for i in range(n)
-    )
-    return FitResult(
-        centers=C,
-        memberships=_one_hot(assign, config.k),
-        inliers=(~trimmed).astype(float),
-        hard_assignments=sets,
-        outlier_flags=trimmed,
-        objective_trace=tuple(trace),
-        iterations=iters,
-        converged=converged,
-        stop_reason=reason,
-    )
+    return _hard_fit(data, config, initial_centers, trim=True)
 
 
 ALGORITHMS = {

@@ -139,3 +139,38 @@ def test_csv_pipeline(tmp_path):
     assert run(["eval", "--result", str(res), "--data", str(path),
                 "--labels", "col:-1", "--out", str(metrics_out)]) == 0
     assert json.loads(metrics_out.read_text())["metrics"]["average_f1"] == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("algorithm", ["kmeans", "rtkm", "trimmed"])
+@pytest.mark.parametrize("init", ["random-points", "kmeans++"])
+def test_fit_overflowing_distances_is_numeric_error(tmp_path, algorithm, init):
+    data = tmp_path / "big.csv"
+    data.write_text("1e200,0\n2,1\n3,0\n-1e200,1\n5,0\n")
+    out = tmp_path / "r.json"
+    code = run(["fit", "--algorithm", algorithm, "--data", str(data),
+                "--labels", "col:-1", "--k", "2", "--alpha", "0.2",
+                "--init", init, "--out", str(out)])
+    assert code == 4
+    assert not out.exists()
+
+
+def test_sweep_alpha_with_every_restart_failing_exits_with_its_code(tmp_path):
+    out = tmp_path / "s.csv"
+    code = run(["sweep", "--algorithm", "trimmed", "--synth", "k=3,points=5,outliers=2",
+                "--k", "3", "--alpha-grid", "0,0.9", "--restarts", "2",
+                "--out", str(out)])
+    assert code == 2  # ConfigError: alpha=0.9 leaves fewer than k points
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["alpha"] for r in rows] == ["0.0", "0.9"]
+    assert rows[0]["f1_mean"] != "" and rows[1]["f1_mean"] == ""
+
+
+@pytest.mark.parametrize("grid", ["0,abc", "0,1", "-0.1", "nan"])
+def test_sweep_bad_alpha_grid_is_usage_error(tmp_path, grid):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--algorithm", "kmeans", "--synth", SYNTH, "--k", "3",
+             "--alpha-grid", grid, "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "s.csv").exists()

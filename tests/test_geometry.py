@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtkm.geometry import (
-    CappedSimplexSpec,
-    InfeasibleSimplexError,
-    project_capped_simplex,
-    project_columns,
-    project_mass,
-)
+from rtkm.geometry import InfeasibleSimplexError, project_columns, project_mass
 
 from conftest import grid_projection_oracle
 
@@ -39,9 +35,12 @@ def test_zero_mass_gives_zeros():
 
 def test_infeasible_spec_rejected():
     with pytest.raises(InfeasibleSimplexError):
-        CappedSimplexSpec(3, 4.0)
+        project_mass(np.zeros(3), 4.0)
     with pytest.raises(InfeasibleSimplexError):
-        CappedSimplexSpec(3, -0.5)
+        project_mass(np.zeros(3), -0.5)
+    for mass in (np.nan, np.inf):
+        with pytest.raises(InfeasibleSimplexError):
+            project_columns(np.zeros((3, 2)), mass)
 
 
 def test_nonfinite_input_rejected():
@@ -49,11 +48,6 @@ def test_nonfinite_input_rejected():
         project_mass([np.nan, 0.0], 1.0)
     with pytest.raises(ValueError):
         project_mass([np.inf, 0.0], 1.0)
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        project_capped_simplex(np.zeros(3), CappedSimplexSpec(4, 1.0))
 
 
 def test_idempotence():
@@ -127,3 +121,56 @@ def test_project_columns_validates():
         project_columns(np.zeros((2, 3)), 5.0)
     with pytest.raises(ValueError):
         project_columns(np.array([[np.nan, 0.0]]).T, 1.0)
+
+
+@st.composite
+def _projection_inputs(draw):
+    # Entries are drawn by numpy from a hypothesis seed: element-wise
+    # hypothesis arrays of up to 60 x 40 take seconds per example.  Entries
+    # on a coarse grid make ties between coordinates and between the
+    # breakpoints y - 1 and y of different coordinates.
+    n = draw(st.integers(1, 60))
+    b = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        Y = rng.integers(-8, 9, (n, b)) / 4
+    else:
+        Y = rng.normal(0.0, draw(st.sampled_from([0.01, 1.0, 50.0])), (n, b))
+    if b > 1 and draw(st.booleans()):
+        Y[:, -1] = Y[:, 0]  # duplicate column
+    kind = draw(st.sampled_from(["zero", "full", "integer", "fractional"]))
+    if kind == "zero":
+        mass = 0.0
+    elif kind == "full":
+        mass = float(n)
+    elif kind == "integer":
+        mass = float(draw(st.integers(0, n)))
+    else:
+        mass = draw(st.floats(0, n))
+    return Y, mass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projection_inputs())
+def test_project_columns_properties(inputs):
+    Y, mass = inputs
+    n, b = Y.shape
+    W = project_columns(Y, mass)
+    tol = 1e-9
+    assert W.min() >= 0.0 and W.max() <= 1.0
+    assert np.all(np.abs(W.sum(axis=0) - mass) <= tol * max(1, n))
+    for i in range(b):
+        y, w = Y[:, i], W[:, i]
+        # threshold form: w = clip(y - tau, 0, 1) for one tau per column
+        inside = (w > 0.0) & (w < 1.0)
+        zeros, ones = w == 0.0, w == 1.0
+        if inside.any():
+            tau = float(np.mean(y[inside] - w[inside]))
+            assert np.all(np.abs(y[inside] - w[inside] - tau) <= tol)
+            assert np.all(y[zeros] <= tau + tol)
+            assert np.all(y[ones] >= tau + 1.0 - tol)
+        elif zeros.any() and ones.any():
+            assert y[zeros].max() <= y[ones].min() - 1.0 + tol
+        np.testing.assert_allclose(w, project_columns(Y[:, [i]], mass)[:, 0],
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(project_columns(W, mass), W, rtol=0, atol=tol)

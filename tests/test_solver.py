@@ -294,6 +294,11 @@ def test_trimmed_alpha_zero_matches_kmeans():
         assert a.hard_assignments == b.hard_assignments
         np.testing.assert_allclose(a.centers, b.centers, atol=1e-12)
         assert not a.outlier_flags.any()
+        # the trimming phase adds one step that trims nothing and repeats
+        assert b.stop_reason == "assignments_stable"
+        assert a.stop_reason == "partition_stable"
+        assert a.iterations == b.iterations + 1
+        assert a.objective_trace == b.objective_trace + b.objective_trace[-1:]
 
 
 def test_trimmed_mean_excludes_extreme_point():
@@ -349,6 +354,50 @@ def test_hard_assign_v_tie_lowest_index():
     w = np.ones((1, 3))
     sets, flags = hard_assign(w, np.array([0.5, 0.5, 1.0]), alpha=1 / 3, s=1)
     assert flags.tolist() == [True, False, False]
+
+
+def reference_hard_assign(w, v, alpha, s, support_eps):
+    """Per-column loop that hard_assign's vectorised form must reproduce."""
+    n = w.shape[1]
+    flags = np.zeros(n, dtype=bool)
+    n_out = trim_count(alpha, n)
+    if n_out > 0:
+        flags[np.argsort(v, kind="stable")[:n_out]] = True
+    sets = []
+    for i in range(n):
+        if flags[i]:
+            sets.append(frozenset())
+        elif s == 1:
+            sets.append(frozenset((int(np.argmax(w[:, i])),)))
+        else:
+            sets.append(frozenset(np.flatnonzero(w[:, i] > support_eps).tolist()))
+    return tuple(sets), flags
+
+
+def test_hard_assign_matches_reference_loop():
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 40))
+        s = int(rng.integers(1, k + 1))
+        # quarter-steps give argmax ties; zero columns give empty support
+        w = rng.integers(0, 5, (k, n)) / 4
+        w[:, rng.random(n) < 0.2] = 0.0
+        w[:, rng.random(n) < 0.2] = 1e-7  # below support_eps
+        v = rng.integers(0, 3, n) / 2
+        alpha = float(rng.choice([0.0, 0.1, 0.3]))
+        sets, flags = hard_assign(w, v, alpha, s=s, support_eps=1e-6)
+        want_sets, want_flags = reference_hard_assign(w, v, alpha, s, 1e-6)
+        assert sets == want_sets, trial
+        np.testing.assert_array_equal(flags, want_flags)
+        assert all(isinstance(j, int) for c in sets for j in c)
+
+
+def test_hard_assign_inlier_without_support_is_empty():
+    w = np.array([[0.9, 1e-7], [0.8, 1e-7]])
+    sets, flags = hard_assign(w, np.ones(2), 0.0, s=2)
+    assert sets == (frozenset({0, 1}), frozenset())
+    assert not flags.any()
 
 
 # --- invariants ---------------------------------------------------------
