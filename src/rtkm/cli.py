@@ -28,7 +28,7 @@ def _add_dataset_args(parser):
     src = parser.add_argument_group("dataset")
     src.add_argument("--data", help="CSV file of points (rows = records)")
     src.add_argument("--labels", help="label spec: col:J or last:K")
-    src.add_argument("--outlier-classes",
+    src.add_argument("--outlier-classes", type=parse_class_list,
                      help="comma-separated class indices treated as outliers")
     src.add_argument("--synth",
                      help="synthetic spec, e.g. k=3,points=50,outliers=2,seed=0 "
@@ -68,7 +68,7 @@ def build_parser():
     _add_config_args(p_sweep)
     p_sweep.add_argument("--alpha-grid", required=True, type=parse_alpha_grid,
                          help="comma-separated alpha values in [0,1)")
-    p_sweep.add_argument("--restarts", type=int, default=10)
+    p_sweep.add_argument("--restarts", type=parse_positive_int, default=10)
     p_sweep.add_argument("--out", required=True, help="sweep CSV path")
 
     p_eval = sub.add_parser("eval", help="score a stored result against ground truth")
@@ -87,6 +87,23 @@ def parse_alpha_grid(text):
         if not 0.0 <= alpha < 1.0:
             raise argparse.ArgumentTypeError(f"alpha {alpha!r} must lie in [0, 1)")
     return grid
+
+
+def parse_class_list(text):
+    try:
+        return frozenset(int(c) for c in text.split(",") if c.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad class list {text!r}") from None
+
+
+def parse_positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} must be >= 1")
+    return value
 
 
 def parse_synth_spec(text):
@@ -116,9 +133,7 @@ def load_dataset(args):
         identity = {"synth": spec}
     else:
         table = datamod.load_csv(args.data, datamod.parse_label_spec(args.labels))
-        outlier_classes = frozenset()
-        if args.outlier_classes:
-            outlier_classes = frozenset(int(c) for c in args.outlier_classes.split(","))
+        outlier_classes = args.outlier_classes or frozenset()
         dataset = datamod.to_dataset(table, outlier_classes)
         with open(args.data, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
@@ -153,7 +168,8 @@ def config_dict(config):
 def truth_clustering(dataset):
     if dataset.truth_memberships is None:
         raise datamod.DataError("dataset carries no ground-truth memberships")
-    n_true = max((max(s) + 1 for s in dataset.truth_memberships if s), default=0)
+    # equal sets collapse, so this scans the distinct memberships only
+    n_true = max((max(s) + 1 for s in set(dataset.truth_memberships) if s), default=0)
     flags = dataset.truth_outliers
     if flags is None:
         flags = np.zeros(dataset.n_points, dtype=bool)
@@ -167,7 +183,7 @@ def predicted_clustering(result):
 
 
 def _write_json(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -221,8 +237,6 @@ def cmd_sweep(args):
     truth = truth_clustering(dataset)
     has_outlier_truth = (dataset.truth_outliers is not None
                          and 0 < dataset.truth_outliers.sum() < dataset.n_points)
-    if args.restarts < 1:
-        raise datamod.DataError("--restarts must be >= 1")
 
     rows = []
     fatal = failure = None
@@ -254,19 +268,44 @@ def cmd_sweep(args):
     return 0
 
 
+def read_result(path, n_points):
+    """Load a fit artifact's result and check it against a dataset of
+    n_points points.  Returns (k, hard_assignments, outlier_flags)."""
+    try:
+        with open(path) as fh:
+            res = json.load(fh)["result"]
+        k, n, hard, outliers = (res[key] for key in
+                                ("k", "n_points", "hard_assignments", "outlier_indices"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise datamod.DataError(f"{path}: not a JSON document: {exc}") from None
+    except KeyError as exc:
+        raise datamod.DataError(f"{path}: fit artifact has no field {exc}") from None
+    except TypeError:
+        raise datamod.DataError(f"{path}: not a fit artifact") from None
+    if n != n_points:
+        raise datamod.DataError(f"result has {n} points but dataset has {n_points}")
+    if type(k) is not int or not 1 <= k <= n_points:  # fits need k <= N
+        raise datamod.DataError(f"{path}: k must be an integer in [1, {n_points}], not {k!r}")
+    if not isinstance(hard, list) or len(hard) != n_points:
+        raise datamod.DataError(f"{path}: hard_assignments must list {n_points} label lists")
+    index = np.asarray(outliers)
+    if index.size and (index.ndim != 1 or index.dtype.kind not in "iu"
+                       or index.min() < 0 or index.max() >= n_points):
+        raise datamod.DataError(
+            f"{path}: outlier_indices must be integers in [0, {n_points})")
+    flags = np.zeros(n_points, dtype=bool)
+    flags[index.astype(np.intp)] = True
+    return k, hard, flags
+
+
 def cmd_eval(args):
     dataset, identity = load_dataset(args)
     truth = truth_clustering(dataset)
-    with open(args.result) as fh:
-        artifact = json.load(fh)
-    res = artifact["result"]
-    if res["n_points"] != dataset.n_points:
-        raise datamod.DataError(
-            f"result has {res['n_points']} points but dataset has {dataset.n_points}")
-    flags = np.zeros(dataset.n_points, dtype=bool)
-    flags[res["outlier_indices"]] = True
-    predicted = clustering_from_result(
-        [frozenset(s) for s in res["hard_assignments"]], res["k"], flags)
+    k, hard, flags = read_result(args.result, dataset.n_points)
+    try:
+        predicted = clustering_from_result(hard, k, flags)
+    except MetricError as exc:
+        raise datamod.DataError(f"{args.result}: {exc}") from None
     metrics = {"average_f1": average_f1(predicted, truth)}
     if (dataset.truth_outliers is not None
             and 0 < dataset.truth_outliers.sum() < dataset.n_points):
@@ -281,6 +320,10 @@ COMMANDS = {"fit": cmd_fit, "sweep": cmd_sweep, "eval": cmd_eval}
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.synth is not None and (args.labels is not None
+                                   or args.outlier_classes is not None):
+        parser.error("--labels and --outlier-classes describe a --data file, "
+                     "not --synth")
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -4,6 +4,7 @@ noise injection."""
 import csv
 import logging
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def load_csv(path, label_spec=None, delimiter=",") -> LabeledTable:
             raise DataError(f"{path}: no data rows after header")
 
     width = len(raw[0][1])
-    rows, raw_labels = [], []
+    rows, linenos = [], []
     for lineno, cells in raw:
         if len(cells) != width:
             raise DataError(f"{path}: row {lineno} has {len(cells)} fields, expected {width}")
@@ -106,38 +107,39 @@ def load_csv(path, label_spec=None, delimiter=",") -> LabeledTable:
                 raise DataError(
                     f"{path}: row {lineno}, column {col}: non-numeric value {cell.strip()!r}"
                 ) from None
-        rows.append((lineno, values))
+        rows.append(values)
+        linenos.append(lineno)
+    table = np.array(rows)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DataError(f"{path}: row {linenos[r]}, column {c}: "
+                        f"non-finite value {float(table[r, c])!r}")
 
     if label_spec is None:
-        features = [vals for _, vals in rows]
-        return LabeledTable(np.array(features), tuple(frozenset() for _ in rows), 0)
+        return LabeledTable(table, (frozenset(),) * len(rows), 0)
 
     kind, arg = label_spec
     if kind == "col":
         col = arg if arg >= 0 else width + arg
         if not 0 <= col < width:
             raise DataError(f"{path}: class column {arg} out of range for width {width}")
-        raw_vals = [vals[col] for _, vals in rows]
-        classes = sorted(set(raw_vals))
-        index = {v: i for i, v in enumerate(classes)}
-        features = [[v for c, v in enumerate(vals) if c != col] for _, vals in rows]
-        labels = tuple(frozenset((index[v],)) for v in raw_vals)
-        return LabeledTable(np.array(features), labels, len(classes))
+        classes, index = np.unique(table[:, col], return_inverse=True)
+        singletons = [frozenset((i,)) for i in range(classes.size)]
+        labels = tuple(singletons[i] for i in index.tolist())
+        return LabeledTable(np.delete(table, col, axis=1), labels, classes.size)
 
     # trailing indicator block
     if arg >= width:
         raise DataError(f"{path}: indicator block of {arg} columns exceeds width {width}")
-    features, labels = [], []
-    for lineno, vals in rows:
-        block = vals[width - arg:]
-        for off, b in enumerate(block):
-            if b not in (0.0, 1.0):
-                raise DataError(
-                    f"{path}: row {lineno}: indicator column value {b} is not 0/1"
-                )
-        features.append(vals[: width - arg])
-        labels.append(frozenset(j for j, b in enumerate(block) if b == 1.0))
-    return LabeledTable(np.array(features), tuple(labels), arg)
+    block = table[:, width - arg:]
+    bad = (block != 0.0) & (block != 1.0)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DataError(
+            f"{path}: row {linenos[r]}: indicator column value {float(block[r, c])} is not 0/1")
+    labels = tuple(frozenset(compress(range(arg), row)) for row in (block == 1.0).tolist())
+    return LabeledTable(np.ascontiguousarray(table[:, : width - arg]), labels, arg)
 
 
 def _all_numeric(cells):
@@ -274,12 +276,12 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         pts = spec.means[j][:, None] + spec.spreads[j] * rng.standard_normal(
             (spec.n_features, n_j))
         chunks.append(pts)
-        memberships.extend(frozenset((j,)) for _ in range(n_j))
+        memberships += [frozenset((j,))] * n_j
     if spec.n_outliers:
         pts = rng.uniform(spec.box_low[:, None], spec.box_high[:, None],
                           (spec.n_features, spec.n_outliers))
         chunks.append(pts)
-        memberships.extend(frozenset() for _ in range(spec.n_outliers))
+        memberships += [frozenset()] * spec.n_outliers
     points = np.concatenate(chunks, axis=1)
     flags = np.zeros(points.shape[1], dtype=bool)
     if spec.n_outliers:
@@ -301,7 +303,7 @@ def inject_noise(data: Dataset, count: int, seed=0) -> Dataset:
     points = np.concatenate([data.points, noise], axis=1)
     memberships = None
     if data.truth_memberships is not None:
-        memberships = data.truth_memberships + tuple(frozenset() for _ in range(count))
+        memberships = data.truth_memberships + (frozenset(),) * count
     old_flags = data.truth_outliers
     if old_flags is None:
         old_flags = np.zeros(data.n_points, dtype=bool)

@@ -2,6 +2,7 @@
 the ROC-distance outlier score M_e."""
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -24,15 +25,26 @@ class Clustering:
 
 
 def clustering_from_result(hard_assignments, n_clusters: int, outlier_flags=None) -> Clustering:
-    """Build a Clustering from per-point assignment sets."""
-    clusters = [set() for _ in range(n_clusters)]
-    for i, labels in enumerate(hard_assignments):
-        for j in labels:
-            clusters[j].add(i)
+    """Build a Clustering from per-point assignment sets (any iterables of
+    cluster labels in [0, n_clusters), such as frozensets or lists)."""
+    sets = list(hard_assignments)
+    try:
+        sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+        labels = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
+    except (TypeError, ValueError, OverflowError):
+        raise MetricError("hard assignments must be collections of integer labels") from None
+    if labels.size and not (0 <= labels.min() and labels.max() < n_clusters):
+        bad = labels[(labels < 0) | (labels >= n_clusters)][0]
+        raise MetricError(f"cluster label {bad} outside [0, {n_clusters})")
+    # group the point indices by label: one stable sort, one slice per cluster
+    order = np.argsort(labels, kind="stable")
+    members = np.repeat(np.arange(len(sets)), sizes)[order].tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=n_clusters)).tolist()
+    clusters = tuple(frozenset(members[a:b]) for a, b in zip([0] + ends, ends))
     outliers = frozenset()
     if outlier_flags is not None:
-        outliers = frozenset(int(i) for i in np.flatnonzero(np.asarray(outlier_flags, bool)))
-    return Clustering(tuple(clusters), outliers)
+        outliers = frozenset(np.flatnonzero(np.asarray(outlier_flags, bool)).tolist())
+    return Clustering(clusters, outliers)
 
 
 def f1_single(tp: int, fp: int, fn: int) -> float:

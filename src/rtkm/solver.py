@@ -54,7 +54,7 @@ class Dataset:
             raise ConfigError("points contain non-finite entries")
         object.__setattr__(self, "points", pts)
         if self.truth_memberships is not None:
-            members = tuple(frozenset(s) for s in self.truth_memberships)
+            members = tuple(map(frozenset, self.truth_memberships))
             if len(members) != pts.shape[1]:
                 raise ConfigError("truth_memberships length must equal N")
             object.__setattr__(self, "truth_memberships", members)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +175,126 @@ def test_sweep_bad_alpha_grid_is_usage_error(tmp_path, grid):
              "--alpha-grid", grid, "--out", str(tmp_path / "s.csv")])
     assert exc.value.code == 2
     assert not (tmp_path / "s.csv").exists()
+
+
+# --- exit codes ---------------------------------------------------------
+
+SMALL = "k=3,points=5,outliers=2"  # N = 17
+
+
+def exit_code(argv):
+    """main's return code, or the code of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return str(path)
+
+
+def _eval_of(edit):
+    """argv factory: eval SMALL against a fit artifact changed by edit,
+    which maps the artifact's text to the text or bytes that eval reads."""
+    def argv(tmp_path):
+        path = tmp_path / "res.json"
+        assert main(["fit", "--algorithm", "rtkm", "--synth", SMALL, "--k", "3",
+                     "--alpha", "0.1", "--out", str(path)]) == 0
+        data = edit(path.read_text())
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        return ["eval", "--result", str(path), "--synth", SMALL]
+    return argv
+
+
+def _edit_result(change):
+    def edit(text):
+        artifact = json.loads(text)
+        change(artifact["result"])
+        return json.dumps(artifact)
+    return edit
+
+
+EXIT_CASES = {
+    "fit-ok": (0, lambda t: ["fit", "--algorithm", "rtkm", "--synth", SMALL, "--k", "3",
+                             "--out", str(t / "r.json")]),
+    "eval-ok": (0, _eval_of(lambda text: text)),
+    "k-exceeds-n": (2, lambda t: ["fit", "--algorithm", "kmeans", "--synth", SMALL,
+                                  "--k", "20", "--out", str(t / "r.json")]),
+    "restarts-zero": (2, lambda t: ["sweep", "--algorithm", "kmeans", "--synth", SMALL,
+                                    "--k", "3", "--alpha-grid", "0", "--restarts", "0",
+                                    "--out", str(t / "s.csv")]),
+    "labels-with-synth": (2, lambda t: ["fit", "--algorithm", "kmeans", "--synth", SMALL,
+                                        "--labels", "col:-1", "--k", "3",
+                                        "--out", str(t / "r.json")]),
+    "outlier-classes-with-synth": (2, lambda t: ["eval", "--result", str(t / "r.json"),
+                                                 "--synth", SMALL,
+                                                 "--outlier-classes", "1"]),
+    "bad-outlier-classes": (2, lambda t: ["fit", "--algorithm", "kmeans",
+                                          "--data", _csv(t, "0,0\n1,1\n"),
+                                          "--labels", "col:-1", "--outlier-classes", "a",
+                                          "--k", "1", "--out", str(t / "r.json")]),
+    "missing-file": (3, lambda t: ["fit", "--algorithm", "kmeans", "--data",
+                                   str(t / "nope.csv"), "--k", "2",
+                                   "--out", str(t / "r.json")]),
+    "nan-in-csv": (3, lambda t: ["fit", "--algorithm", "kmeans",
+                                 "--data", _csv(t, "nan,0\n1,1\n2,0\n"),
+                                 "--labels", "col:-1", "--k", "1",
+                                 "--out", str(t / "r.json")]),
+    "result-corrupt-json": (3, _eval_of(lambda text: '{"result": ')),
+    "result-not-utf8": (3, _eval_of(lambda text: b'{"result": "\xff"}')),
+    "result-not-an-object": (3, _eval_of(lambda text: "[1, 2]")),
+    "result-missing-k": (3, _eval_of(_edit_result(lambda r: r.pop("k")))),
+    "result-k-exceeds-n": (3, _eval_of(_edit_result(lambda r: r.update(k=10**12)))),
+    "result-label-ge-k": (3, _eval_of(_edit_result(
+        lambda r: r["hard_assignments"].__setitem__(0, [3])))),
+    "result-label-not-int": (3, _eval_of(_edit_result(
+        lambda r: r["hard_assignments"].__setitem__(0, ["a"])))),
+    "result-too-few-points": (3, _eval_of(_edit_result(
+        lambda r: r["hard_assignments"].pop()))),
+    "result-outlier-negative": (3, _eval_of(_edit_result(
+        lambda r: r["outlier_indices"].__setitem__(0, -1)))),
+    "result-outlier-ge-n": (3, _eval_of(_edit_result(
+        lambda r: r["outlier_indices"].__setitem__(0, 17)))),
+    "overflow": (4, lambda t: ["fit", "--algorithm", "rtkm",
+                               "--data", _csv(t, "1e200,0\n2,1\n3,0\n-1e200,1\n5,0\n"),
+                               "--labels", "col:-1", "--k", "2", "--alpha", "0.2",
+                               "--out", str(t / "r.json")]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_codes(tmp_path, capsys, case):
+    code, argv = EXIT_CASES[case]
+    assert exit_code(argv(tmp_path)) == code
+    last = capsys.readouterr().err.splitlines()[-1:]
+    if code == 3:
+        assert last[0].startswith("error: ")
+    elif code == 2:
+        assert "error: " in last[0]
+
+
+# --- artifacts ----------------------------------------------------------
+
+PINNED_CLI = json.loads((Path(__file__).parent / "pinned_cli.json").read_text())
+PINNED_SYNTH = "k=3,points=10,outliers=2,spread=0.6,separation=10,seed=5"
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CLI))
+def test_fit_and_eval_write_one_line_pinned_json(tmp_path, case):
+    """fit and eval write one line of JSON whose value equals the one
+    recorded in pinned_cli.json (written with indent=2 before artifacts
+    became one-line JSON)."""
+    pinned = PINNED_CLI[case]
+    artifact, metrics = tmp_path / "res.json", tmp_path / "eval.json"
+    assert main(["fit"] + pinned["fit"] + ["--out", str(artifact)]) == 0
+    standardize = ["--standardize"] if "--standardize" in pinned["fit"] else []
+    assert main(["eval", "--result", str(artifact), "--synth", PINNED_SYNTH]
+                + standardize + ["--out", str(metrics)]) == 0
+    for path, want in ((artifact, pinned["artifact"]), (metrics, pinned["metrics"])):
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text) == want

@@ -75,6 +75,15 @@ def test_load_non_numeric_named(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("spec", [None, "col:-1", "last:1"])
+def test_load_non_finite_named(tmp_path, cell, spec):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y\n1,0\n{cell},1\n2,0\n")
+    with pytest.raises(DataError, match=f"row 3, column 0: non-finite value {cell}"):
+        load_csv(path, spec)
+
+
 def test_load_bad_indicator_value(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,2\n")

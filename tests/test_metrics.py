@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtkm.metrics import (
     Clustering,
@@ -143,3 +145,55 @@ def test_clustering_from_result():
     c = clustering_from_result(sets, 2, np.array([False, False, True]))
     assert c.clusters == (frozenset({0, 1}), frozenset({1}))
     assert c.outliers == frozenset({2})
+
+
+def reference_clustering(hard_assignments, n_clusters, outlier_flags):
+    """Per-point loop: point i joins every cluster in its label set."""
+    clusters = [set() for _ in range(n_clusters)]
+    for i, labels in enumerate(hard_assignments):
+        for j in labels:
+            clusters[j].add(i)
+    outliers = {i for i, flag in enumerate(outlier_flags) if flag}
+    return Clustering(tuple(clusters), frozenset(outliers))
+
+
+@st.composite
+def _assignments(draw):
+    k = draw(st.integers(1, 6))
+    s_max = draw(st.integers(1, k))  # s=1 gives singletons, s>1 overlaps
+    sets = draw(st.lists(st.frozensets(st.integers(0, k - 1), max_size=s_max),
+                         max_size=40))
+    flags = draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
+    return sets, k, np.array(flags, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_assignments())
+def test_clustering_from_result_matches_per_point_loop(case):
+    sets, k, flags = case
+    want = reference_clustering(sets, k, flags)
+    assert clustering_from_result(sets, k, flags) == want
+    assert clustering_from_result(tuple(sets), k, flags) == want
+    # the lists of a result artifact, in sorted or any other order
+    assert clustering_from_result([sorted(s, reverse=True) for s in sets], k, flags) == want
+
+
+def test_clustering_from_result_edge_cases():
+    # an empty cluster (1), empty sets, s=2 overlap, no outlier flags
+    c = clustering_from_result([[0], [], [0, 2], [2]], 3)
+    assert c.clusters == (frozenset({0, 2}), frozenset(), frozenset({2, 3}))
+    assert c.outliers == frozenset()
+    assert clustering_from_result([], 2) == Clustering((frozenset(), frozenset()))
+    assert clustering_from_result([[], []], 0) == Clustering(())
+
+
+@pytest.mark.parametrize("sets", [[[0], [3]], [[0], [-1]], [[1, 5]]])
+def test_clustering_from_result_label_out_of_range(sets):
+    with pytest.raises(MetricError, match="outside"):
+        clustering_from_result(sets, 3)
+
+
+@pytest.mark.parametrize("sets", [[[0], [None]], [[0], ["a"]], [[0], 1]])
+def test_clustering_from_result_non_integer_labels(sets):
+    with pytest.raises(MetricError, match="integer"):
+        clustering_from_result(sets, 3)
