@@ -8,7 +8,9 @@ it never perturbs the artifact.
 
 import argparse
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -16,39 +18,43 @@ import time
 import numpy as np
 
 from . import data as datamod
-from .metrics import Clustering, MetricError, average_f1, clustering_from_result, me_score
-from .solver import ALGORITHMS, ConfigError, SolverConfig
+from .metrics import MetricError, average_f1, clustering_from_result, me_score
+from .solver import ALGORITHMS, INIT_MODES, ConfigError, SolverConfig
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# The SolverConfig fields that flags set; w_init keeps its default.
+CONFIG_FLAGS = ("k", "s", "alpha", "step_d", "step_e", "max_iters", "tol", "seed", "init")
+# --synth keys with their defaults, whose types the values take.
+SYNTH_DEFAULTS = {name: param.default for name, param
+                  in inspect.signature(datamod.blob_spec).parameters.items()}
+
 
 def _add_dataset_args(parser):
     src = parser.add_argument_group("dataset")
-    src.add_argument("--data", help="CSV file of points (rows = records)")
-    src.add_argument("--labels", help="label spec: col:J or last:K")
+    source = src.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="CSV file of points (rows = records)")
+    source.add_argument("--synth", type=parse_synth_spec,
+                        help="synthetic spec, e.g. k=3,points=50,outliers=2,seed=0 "
+                             f"(keys: {','.join(SYNTH_DEFAULTS)})")
+    src.add_argument("--labels", type=parse_labels, help="label spec: col:J or last:K")
     src.add_argument("--outlier-classes", type=parse_class_list,
                      help="comma-separated class indices treated as outliers")
-    src.add_argument("--synth",
-                     help="synthetic spec, e.g. k=3,points=50,outliers=2,seed=0 "
-                          "(keys: k,dim,points,outliers,spread,separation,box_scale,seed)")
     src.add_argument("--standardize", action="store_true",
                      help="z-score each feature before fitting")
 
 
 def _add_config_args(parser):
+    """One flag per CONFIG_FLAGS field, with SolverConfig's type and default."""
+    fields = {f.name: f for f in dataclasses.fields(SolverConfig)}
     cfg = parser.add_argument_group("solver config")
-    cfg.add_argument("--k", type=int, required=True)
-    cfg.add_argument("--s", type=int, default=1)
-    cfg.add_argument("--alpha", type=float, default=0.0)
-    cfg.add_argument("--step-d", type=float, default=1.1)
-    cfg.add_argument("--step-e", type=float, default=1.1)
-    cfg.add_argument("--max-iters", type=int, default=500)
-    cfg.add_argument("--tol", type=float, default=1e-8)
-    cfg.add_argument("--seed", type=int, default=0)
-    cfg.add_argument("--init", choices=("random-points", "kmeans++"),
-                     default="random-points")
+    cfg.add_argument("--k", type=fields["k"].type, required=True)
+    for name in CONFIG_FLAGS[1:-1]:
+        cfg.add_argument("--" + name.replace("_", "-"), type=fields[name].type,
+                         default=fields[name].default)
+    cfg.add_argument("--init", choices=INIT_MODES, default=fields["init"].default)
 
 
 def build_parser():
@@ -107,32 +113,37 @@ def parse_positive_int(text):
 
 
 def parse_synth_spec(text):
-    defaults = {"k": 3, "dim": 2, "points": 50, "outliers": 2, "spread": 0.5,
-                "separation": 10.0, "box_scale": 10.0, "seed": 0}
-    ints = {"k", "dim", "points", "outliers", "seed"}
-    out = dict(defaults)
+    """blob_spec's keyword arguments from 'key=value,...'; unnamed keys
+    keep their defaults."""
+    out = dict(SYNTH_DEFAULTS)
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in defaults or not value:
-            raise datamod.DataError(f"bad synth spec item {item!r}")
+        if key not in out or not value:
+            raise argparse.ArgumentTypeError(f"bad synth spec item {item!r}")
         try:
-            out[key] = int(value) if key in ints else float(value)
+            out[key] = type(SYNTH_DEFAULTS[key])(value)
         except ValueError:
-            raise datamod.DataError(f"bad synth spec value {item!r}") from None
+            raise argparse.ArgumentTypeError(f"bad synth spec value {item!r}") from None
     return out
+
+
+def parse_labels(text):
+    """Check a label spec when it is parsed; the text itself is kept."""
+    try:
+        datamod.parse_label_spec(text)
+    except datamod.DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def load_dataset(args):
     """Resolve the dataset flags into (Dataset, identity dict)."""
-    if (args.data is None) == (args.synth is None):
-        raise datamod.DataError("provide exactly one of --data or --synth")
     if args.synth is not None:
-        spec = parse_synth_spec(args.synth)
-        dataset = datamod.generate_synthetic(datamod.blob_spec(**spec))
-        identity = {"synth": spec}
+        dataset = datamod.generate_synthetic(datamod.blob_spec(**args.synth))
+        identity = {"synth": args.synth}
     else:
-        table = datamod.load_csv(args.data, datamod.parse_label_spec(args.labels))
+        table = datamod.load_csv(args.data, args.labels)
         outlier_classes = args.outlier_classes or frozenset()
         dataset = datamod.to_dataset(table, outlier_classes)
         with open(args.data, "rb") as fh:
@@ -145,24 +156,17 @@ def load_dataset(args):
     return dataset, identity
 
 
-def make_config(args, alpha=None, seed=None):
-    return SolverConfig(
-        k=args.k, s=args.s,
-        alpha=args.alpha if alpha is None else alpha,
-        step_d=args.step_d, step_e=args.step_e,
-        max_iters=args.max_iters, tol=args.tol,
-        seed=args.seed if seed is None else seed,
-        init=args.init,
-    )
+def make_config(args, **overrides):
+    """The SolverConfig the flags describe, with overrides (such as a
+    sweep's alpha and seed) in place of their flags."""
+    return SolverConfig(**{name: getattr(args, name) for name in CONFIG_FLAGS} | overrides)
 
 
-def config_dict(config):
-    return {
-        "k": config.k, "s": config.s, "alpha": config.alpha,
-        "step_d": config.step_d, "step_e": config.step_e,
-        "max_iters": config.max_iters, "tol": config.tol,
-        "seed": config.seed, "init": config.init, "w_init": config.w_init,
-    }
+def has_outlier_truth(dataset):
+    """Whether the truth flags some but not all points as outliers, the
+    case in which M_e is defined."""
+    flags = dataset.truth_outliers
+    return flags is not None and 0 < flags.sum() < dataset.n_points
 
 
 def truth_clustering(dataset):
@@ -201,7 +205,7 @@ def cmd_fit(args):
         "manifest": {
             "command": "fit",
             "algorithm": args.algorithm,
-            "config": config_dict(config),
+            "config": dataclasses.asdict(config),
             "dataset": identity,
             "standardize": bool(args.standardize),
         },
@@ -235,8 +239,7 @@ def _stats(values):
 def cmd_sweep(args):
     dataset, identity = load_dataset(args)
     truth = truth_clustering(dataset)
-    has_outlier_truth = (dataset.truth_outliers is not None
-                         and 0 < dataset.truth_outliers.sum() < dataset.n_points)
+    score_outliers = has_outlier_truth(dataset)
 
     rows = []
     fatal = failure = None
@@ -247,7 +250,7 @@ def cmd_sweep(args):
             try:
                 result = ALGORITHMS[args.algorithm](dataset, config)
                 f1s.append(average_f1(predicted_clustering(result), truth))
-                if has_outlier_truth:
+                if score_outliers:
                     mes.append(me_score(result.outlier_flags, dataset.truth_outliers))
             except (ConfigError, MetricError, FloatingPointError) as exc:
                 print(f"warning: alpha={alpha} seed={config.seed} failed: {exc}",
@@ -307,8 +310,7 @@ def cmd_eval(args):
     except MetricError as exc:
         raise datamod.DataError(f"{args.result}: {exc}") from None
     metrics = {"average_f1": average_f1(predicted, truth)}
-    if (dataset.truth_outliers is not None
-            and 0 < dataset.truth_outliers.sum() < dataset.n_points):
+    if has_outlier_truth(dataset):
         metrics["me_score"] = me_score(flags, dataset.truth_outliers)
     _write_json({"dataset": identity, "metrics": metrics}, args.out)
     return 0

@@ -75,17 +75,17 @@ def parse_label_spec(text):
     return (kind, value)
 
 
-def load_csv(path, label_spec=None, delimiter=",") -> LabeledTable:
-    """Load a delimited numeric table with an optional header row.
+def load_csv(path, label_spec=None) -> LabeledTable:
+    """Load a comma-separated numeric table with an optional header row.
 
-    label_spec is None (unlabeled), ('col', j) for a single class column,
-    or ('last', k) for k trailing 0/1 indicator columns.  Malformed rows
-    raise DataError naming the offending row.
+    label_spec is None (unlabeled), 'col:J' for a single class column J,
+    or 'last:K' for K trailing 0/1 indicator columns (see
+    parse_label_spec).  Malformed rows raise DataError naming the
+    offending row.
     """
-    if isinstance(label_spec, str):
-        label_spec = parse_label_spec(label_spec)
+    label_spec = parse_label_spec(label_spec)
     with open(path, newline="") as fh:
-        raw = [(lineno, row) for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), 1)
+        raw = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), 1)
                if row and any(cell.strip() for cell in row)]
     if not raw:
         raise DataError(f"{path}: no data rows")
@@ -151,26 +151,24 @@ def _all_numeric(cells):
     return True
 
 
-def save_csv(table: LabeledTable, path, delimiter=","):
+def save_csv(table: LabeledTable, path):
     """Write a LabeledTable as features plus a trailing indicator block;
     round-trips exactly through load_csv."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         for i in range(table.n_records):
             row = [repr(float(v)) for v in table.rows[i]]
             row += ["1" if j in table.labels[i] else "0" for j in range(table.n_classes)]
             writer.writerow(row)
 
 
-def to_dataset(table: LabeledTable, outlier_classes=frozenset(),
-               mixed_policy="inlier") -> Dataset:
+def to_dataset(table: LabeledTable, outlier_classes=frozenset()) -> Dataset:
     """Convert a labeled table to a Dataset, mapping whole classes to
     outlier status.
 
     Points labeled only with outlier classes become truth outliers with
     empty membership sets.  Points with mixed inlier and outlier labels
-    follow mixed_policy: 'inlier' (default) keeps only their inlier
-    labels, 'outlier' flags them.
+    keep only their inlier labels.
     """
     outlier_classes = frozenset(outlier_classes)
     all_classes = frozenset(range(table.n_classes))
@@ -179,8 +177,6 @@ def to_dataset(table: LabeledTable, outlier_classes=frozenset(),
     inlier_classes = sorted(all_classes - outlier_classes)
     if table.n_classes and not inlier_classes:
         raise DataError("every class marked as outlier; no inlier clusters remain")
-    if mixed_policy not in ("inlier", "outlier"):
-        raise DataError(f"unknown mixed_policy {mixed_policy!r}")
     remap = {c: i for i, c in enumerate(inlier_classes)}
 
     memberships = []
@@ -188,22 +184,14 @@ def to_dataset(table: LabeledTable, outlier_classes=frozenset(),
     n_mixed = 0
     for i, labels in enumerate(table.labels):
         inl = labels - outlier_classes
-        out = labels & outlier_classes
         if labels and not inl:
             flags[i] = True
-            memberships.append(frozenset())
-        elif inl and out:
+        elif inl != labels:
             n_mixed += 1
-            if mixed_policy == "outlier":
-                flags[i] = True
-                memberships.append(frozenset())
-            else:
-                memberships.append(frozenset(remap[c] for c in inl))
-        else:
-            memberships.append(frozenset(remap[c] for c in inl))
+        memberships.append(frozenset(remap[c] for c in inl))
     if n_mixed:
-        log.warning("%d records had mixed inlier/outlier labels; policy=%s",
-                    n_mixed, mixed_policy)
+        log.warning("%d records had mixed inlier/outlier labels; kept their inlier labels",
+                    n_mixed)
     return Dataset(table.rows.T, tuple(memberships), flags)
 
 

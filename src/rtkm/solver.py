@@ -24,8 +24,9 @@ class ConfigError(ValueError):
     """Invalid solver configuration or incompatible dimensions."""
 
 
-W_INIT_MODES = ("projected", "hard", "uniform", "random")
+W_INIT_MODES = ("projected", "hard", "random")
 INIT_MODES = ("random-points", "kmeans++")
+SUPPORT_EPS = 1e-6  # for s > 1, a point belongs to clusters whose weight exceeds this
 
 
 def trim_count(alpha: float, n_points: int) -> int:
@@ -91,7 +92,6 @@ class SolverConfig:
     seed: int = 0
     init: str = "random-points"
     w_init: str = "random"
-    support_eps: float = 1e-6
 
     def __post_init__(self):
         if self.k < 1:
@@ -193,12 +193,11 @@ def _start_centers(data, config, initial_centers, rng):
     return X[:, idx].copy()
 
 
-def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float,
-                s: int = 1, support_eps: float = 1e-6):
+def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: int = 1):
     """Extract final assignments from converged (W, v).
 
     s=1 gives singleton argmax sets (ties to the lowest index); s>1 keeps
-    every cluster with weight above support_eps.  The [alpha*N] points of
+    every cluster with weight above SUPPORT_EPS.  The [alpha*N] points of
     smallest v (ties to the lowest index) are flagged as outliers and get
     empty assignment sets.
     """
@@ -214,7 +213,7 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float,
         best = w.argmax(axis=0).tolist()
         sets = [frozenset() if out else singles[j] for j, out in zip(best, flags.tolist())]
     else:
-        support = w > support_eps
+        support = w > SUPPORT_EPS
         support[:, flags] = False
         _, clusters = np.nonzero(support.T)  # point-major: each point's clusters in a run
         ends = np.cumsum(support.sum(axis=0)).tolist()
@@ -224,7 +223,7 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float,
 
 
 def _fit_result(C, W, v, alpha, config, trace, iters, converged, reason):
-    sets, flags = hard_assign(W, v, alpha, s=config.s, support_eps=config.support_eps)
+    sets, flags = hard_assign(W, v, alpha, s=config.s)
     return FitResult(
         centers=C,
         memberships=W,
@@ -290,8 +289,6 @@ def _one_hot(assign, k):
 def _initial_weights(G0, v0, config, rng):
     k, n = G0.shape
     s = float(config.s)
-    if config.w_init == "uniform":
-        return np.full((k, n), s / k)
     if config.w_init == "random":
         return project_columns(rng.random((k, n)), s)
     if config.w_init == "hard":
@@ -301,9 +298,9 @@ def _initial_weights(G0, v0, config, rng):
             W[order[r], np.arange(n)] = 1.0
         return W
     # "projected": one proximal step from the uniform point using the
-    # initial centers.  Note the plain uniform start is a fixed point of
-    # the iteration (all centers collapse onto the weighted global mean);
-    # "random" and "projected" both break that symmetry.
+    # initial centers.  The uniform point itself is a fixed point of the
+    # iteration (all centers collapse onto the weighted global mean), so it
+    # is no start; "random" and "projected" both break that symmetry.
     return project_columns(np.full((k, n), s / k) - (v0[None, :] * G0) / config.step_d, s)
 
 

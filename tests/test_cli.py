@@ -232,6 +232,18 @@ EXIT_CASES = {
     "outlier-classes-with-synth": (2, lambda t: ["eval", "--result", str(t / "r.json"),
                                                  "--synth", SMALL,
                                                  "--outlier-classes", "1"]),
+    "no-dataset": (2, lambda t: ["fit", "--algorithm", "kmeans", "--k", "3",
+                                 "--out", str(t / "r.json")]),
+    "data-and-synth": (2, lambda t: ["fit", "--algorithm", "kmeans",
+                                     "--data", _csv(t, "0,0\n1,1\n2,0\n"), "--synth", SMALL,
+                                     "--k", "3", "--out", str(t / "r.json")]),
+    "bad-label-spec": (2, lambda t: ["fit", "--algorithm", "kmeans",
+                                     "--data", _csv(t, "0,0\n1,1\n2,0\n"), "--labels", "bogus",
+                                     "--k", "1", "--out", str(t / "r.json")]),
+    "bad-synth-key": (2, lambda t: ["fit", "--algorithm", "kmeans", "--synth", "k=3,bogus=1",
+                                    "--k", "3", "--out", str(t / "r.json")]),
+    "bad-synth-value": (2, lambda t: ["fit", "--algorithm", "kmeans", "--synth", "k=3,points=x",
+                                      "--k", "3", "--out", str(t / "r.json")]),
     "bad-outlier-classes": (2, lambda t: ["fit", "--algorithm", "kmeans",
                                           "--data", _csv(t, "0,0\n1,1\n"),
                                           "--labels", "col:-1", "--outlier-classes", "a",

@@ -141,14 +141,12 @@ def test_to_dataset_unknown_outlier_class_rejected():
         to_dataset(table, outlier_classes={7})
 
 
-def test_to_dataset_mixed_labels_policies():
+def test_to_dataset_mixed_labels_policies(caplog):
     table = LabeledTable(np.ones((1, 1)), (frozenset({0, 1}),), 2)
     ds = to_dataset(table, outlier_classes={1})
     assert not ds.truth_outliers[0]
     assert ds.truth_memberships[0] == frozenset({0})
-    ds2 = to_dataset(table, outlier_classes={1}, mixed_policy="outlier")
-    assert ds2.truth_outliers[0]
-    assert ds2.truth_memberships[0] == frozenset()
+    assert "1 records had mixed inlier/outlier labels" in caplog.text
 
 
 # --- synthetic generation -----------------------------------------------

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtkm import (
+    ALGORITHMS,
     ConfigError,
     Dataset,
     SolverConfig,
@@ -15,6 +20,7 @@ from rtkm import (
     objective_rtkm,
     trim_count,
 )
+from rtkm.solver import INIT_MODES
 
 from conftest import make_blobs_with_outliers
 
@@ -356,7 +362,7 @@ def test_hard_assign_v_tie_lowest_index():
     assert flags.tolist() == [True, False, False]
 
 
-def reference_hard_assign(w, v, alpha, s, support_eps):
+def reference_hard_assign(w, v, alpha, s, support_eps=1e-6):
     """Per-column loop that hard_assign's vectorised form must reproduce."""
     n = w.shape[1]
     flags = np.zeros(n, dtype=bool)
@@ -383,11 +389,11 @@ def test_hard_assign_matches_reference_loop():
         # quarter-steps give argmax ties; zero columns give empty support
         w = rng.integers(0, 5, (k, n)) / 4
         w[:, rng.random(n) < 0.2] = 0.0
-        w[:, rng.random(n) < 0.2] = 1e-7  # below support_eps
+        w[:, rng.random(n) < 0.2] = 1e-7  # below SUPPORT_EPS
         v = rng.integers(0, 3, n) / 2
         alpha = float(rng.choice([0.0, 0.1, 0.3]))
-        sets, flags = hard_assign(w, v, alpha, s=s, support_eps=1e-6)
-        want_sets, want_flags = reference_hard_assign(w, v, alpha, s, 1e-6)
+        sets, flags = hard_assign(w, v, alpha, s=s)
+        want_sets, want_flags = reference_hard_assign(w, v, alpha, s)
         assert sets == want_sets, trial
         np.testing.assert_array_equal(flags, want_flags)
         assert all(isinstance(j, int) for c in sets for j in c)
@@ -451,3 +457,56 @@ def test_permutation_consistency():
     b = fit_rtkm(permuted, cfg, initial_centers=centers0)
     np.testing.assert_allclose(b.memberships, a.memberships[:, perm], atol=1e-12)
     np.testing.assert_allclose(b.inliers, a.inliers[perm], atol=1e-12)
+
+
+@st.composite
+def _fit_inputs(draw):
+    """An edge-shaped dataset (N=1, k=N, s=k, duplicate points, a constant
+    feature) and a config for it."""
+    # Entries come from numpy with a hypothesis seed, as in
+    # test_project_columns_properties, so that examples stay cheap.
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(-2, 3, (m, n)).astype(float)  # coarse grid: many duplicates
+    else:
+        X = rng.normal(0.0, 3.0, (m, n))
+    if n > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    if draw(st.booleans()):
+        X[0] = 1.5  # constant feature
+    k = draw(st.integers(1, n))
+    config = SolverConfig(k=k, s=draw(st.integers(1, k)),
+                          alpha=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9])),
+                          max_iters=draw(st.integers(1, 60)), seed=draw(st.integers(0, 99)),
+                          init=draw(st.sampled_from(INIT_MODES)))
+    return Dataset(X), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_inputs())
+def test_fit_invariants_on_edge_shapes(inputs):
+    ds, config = inputs
+    n = ds.n_points
+    for name, fit in ALGORITHMS.items():
+        hard = name in ("kmeans", "trimmed")
+        cfg = dataclasses.replace(config, s=1) if hard else config
+        n_out = trim_count(cfg.alpha, n) if name in ("rtkm", "trimmed") else 0
+        # the documented rejections: no inliers left, or fewer than k of them
+        if (name == "rtkm" and n_out >= n) or (name == "trimmed" and cfg.k > n - n_out):
+            with pytest.raises(ConfigError):
+                fit(ds, cfg)
+            continue
+        res = fit(ds, cfg)
+        w, v = res.memberships, res.inliers
+        assert w.shape == (cfg.k, n), name
+        assert w.min() >= -1e-12 and w.max() <= 1 + 1e-12, name
+        np.testing.assert_allclose(w.sum(axis=0), cfg.s, atol=1e-8, err_msg=name)
+        assert v.min() >= -1e-12 and v.max() <= 1 + 1e-12, name
+        np.testing.assert_allclose(v.sum(), n - n_out, atol=1e-8, err_msg=name)
+        assert res.outlier_flags.sum() == n_out, name
+        for labels, out in zip(res.hard_assignments, res.outlier_flags):
+            assert (not labels) if out else len(labels) >= cfg.s, name
+        trace = np.array(res.objective_trace)
+        assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0])), name
