@@ -13,11 +13,10 @@ from .solver import (
     fit_trimmed_kmeans,
     hard_assign,
     init_centers,
-    objective_kmeans,
     objective_rtkm,
     trim_count,
 )
-from .metrics import Clustering, average_f1, f1_single, me_score
+from .metrics import Clustering, average_f1, me_score
 from .data import (
     DataError,
     LabeledTable,
@@ -26,7 +25,6 @@ from .data import (
     generate_synthetic,
     inject_noise,
     load_csv,
-    save_csv,
     standardize,
     to_dataset,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "SynthSpec",
     "average_f1",
     "blob_spec",
-    "f1_single",
     "fit_kmeans",
     "fit_relaxed_kmeans",
     "fit_rtkm",
@@ -54,11 +51,9 @@ __all__ = [
     "inject_noise",
     "load_csv",
     "me_score",
-    "objective_kmeans",
     "objective_rtkm",
     "project_columns",
     "project_mass",
-    "save_csv",
     "standardize",
     "to_dataset",
     "trim_count",

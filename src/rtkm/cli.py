@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import data as datamod
-from .metrics import MetricError, average_f1, clustering_from_result, me_score
+from .metrics import Clustering, MetricError, average_f1, clustering_from_result, me_score
 from .solver import ALGORITHMS, INIT_MODES, ConfigError, SolverConfig
 
 EXIT_USAGE = 2
@@ -43,17 +43,19 @@ def _add_dataset_args(parser):
     src.add_argument("--outlier-classes", type=parse_class_list,
                      help="comma-separated class indices treated as outliers")
     src.add_argument("--standardize", action="store_true",
-                     help="z-score each feature before fitting")
+                     help="z-score each feature before fitting (eval reads only the labels)")
 
 
-def _add_config_args(parser):
-    """One flag per CONFIG_FLAGS field, with SolverConfig's type and default."""
+def _add_config_args(parser, without=()):
+    """One flag per CONFIG_FLAGS field not in without, with SolverConfig's
+    type and default."""
     fields = {f.name: f for f in dataclasses.fields(SolverConfig)}
     cfg = parser.add_argument_group("solver config")
     cfg.add_argument("--k", type=fields["k"].type, required=True)
     for name in CONFIG_FLAGS[1:-1]:
-        cfg.add_argument("--" + name.replace("_", "-"), type=fields[name].type,
-                         default=fields[name].default)
+        if name not in without:
+            cfg.add_argument("--" + name.replace("_", "-"), type=fields[name].type,
+                             default=fields[name].default)
     cfg.add_argument("--init", choices=INIT_MODES, default=fields["init"].default)
 
 
@@ -68,10 +70,12 @@ def build_parser():
     _add_config_args(p_fit)
     p_fit.add_argument("--out", required=True, help="result JSON path")
 
-    p_sweep = sub.add_parser("sweep", help="alpha-sensitivity sweep with restarts")
+    # no abbreviated flags, so that --alpha is no prefix of --alpha-grid
+    p_sweep = sub.add_parser("sweep", help="alpha-sensitivity sweep with restarts",
+                             allow_abbrev=False)
     p_sweep.add_argument("--algorithm", choices=sorted(ALGORITHMS), required=True)
     _add_dataset_args(p_sweep)
-    _add_config_args(p_sweep)
+    _add_config_args(p_sweep, without=("alpha",))  # --alpha-grid sets alpha
     p_sweep.add_argument("--alpha-grid", required=True, type=parse_alpha_grid,
                          help="comma-separated alpha values in [0,1)")
     p_sweep.add_argument("--restarts", type=parse_positive_int, default=10)
@@ -151,15 +155,14 @@ def load_dataset(args):
         identity = {"path": args.data, "sha256": digest,
                     "labels": args.labels,
                     "outlier_classes": sorted(outlier_classes)}
-    if args.standardize:
-        dataset = datamod.standardize(dataset)
     return dataset, identity
 
 
 def make_config(args, **overrides):
     """The SolverConfig the flags describe, with overrides (such as a
     sweep's alpha and seed) in place of their flags."""
-    return SolverConfig(**{name: getattr(args, name) for name in CONFIG_FLAGS} | overrides)
+    flags = {name: getattr(args, name) for name in CONFIG_FLAGS if name not in overrides}
+    return SolverConfig(**flags, **overrides)
 
 
 def has_outlier_truth(dataset):
@@ -170,20 +173,17 @@ def has_outlier_truth(dataset):
 
 
 def truth_clustering(dataset):
-    if dataset.truth_memberships is None:
+    """The truth clusters are the labels up to the highest one in use."""
+    truth = dataset.truth_memberships
+    if truth is None:
         raise datamod.DataError("dataset carries no ground-truth memberships")
-    # equal sets collapse, so this scans the distinct memberships only
-    n_true = max((max(s) + 1 for s in set(dataset.truth_memberships) if s), default=0)
-    flags = dataset.truth_outliers
-    if flags is None:
-        flags = np.zeros(dataset.n_points, dtype=bool)
-    return clustering_from_result(dataset.truth_memberships, n_true, flags)
+    used = np.flatnonzero(truth.any(axis=1))
+    n_true = used[-1] + 1 if used.size else 0
+    return Clustering(truth[:n_true], dataset.truth_outliers)
 
 
 def predicted_clustering(result):
-    return clustering_from_result(result.hard_assignments,
-                                  result.memberships.shape[0],
-                                  result.outlier_flags)
+    return Clustering(result.assignments, result.outlier_flags)
 
 
 def _write_json(obj, path):
@@ -197,6 +197,8 @@ def _write_json(obj, path):
 
 def cmd_fit(args):
     dataset, identity = load_dataset(args)
+    if args.standardize:
+        dataset = datamod.standardize(dataset)
     config = make_config(args)
     started = time.perf_counter()
     result = ALGORITHMS[args.algorithm](dataset, config)
@@ -216,7 +218,7 @@ def cmd_fit(args):
             "converged": result.converged,
             "stop_reason": result.stop_reason,
             "centers": result.centers.tolist(),
-            "hard_assignments": [sorted(s) for s in result.hard_assignments],
+            "hard_assignments": result.label_lists(),
             "outlier_indices": np.flatnonzero(result.outlier_flags).tolist(),
             "inlier_weights": result.inliers.tolist(),
             "n_points": dataset.n_points,
@@ -238,6 +240,8 @@ def _stats(values):
 
 def cmd_sweep(args):
     dataset, identity = load_dataset(args)
+    if args.standardize:
+        dataset = datamod.standardize(dataset)
     truth = truth_clustering(dataset)
     score_outliers = has_outlier_truth(dataset)
 

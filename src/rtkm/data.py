@@ -4,7 +4,6 @@ noise injection."""
 import csv
 import logging
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -19,28 +18,24 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledTable:
-    """Rectangular feature table with per-record label sets.
+    """Rectangular feature table with per-record labels.
 
-    rows is (N, m); labels holds one frozenset of class indices per
-    record (possibly empty).
+    rows is (N, m); labels is an (N, C) boolean matrix over C classes,
+    labels[i, c] marking record i as a member of class c (a record may
+    have any number of labels, none included).
     """
 
     rows: np.ndarray
-    labels: tuple
-    n_classes: int
+    labels: np.ndarray
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2:
             raise DataError("rows must be a 2-d array")
+        labels = np.asarray(self.labels, dtype=bool)
+        if labels.ndim != 2 or labels.shape[0] != rows.shape[0]:
+            raise DataError("labels must be a matrix with one row per record")
         object.__setattr__(self, "rows", rows)
-        labels = tuple(frozenset(s) for s in self.labels)
-        if len(labels) != rows.shape[0]:
-            raise DataError("labels length must equal the record count")
-        for i, s in enumerate(labels):
-            for c in s:
-                if not 0 <= c < self.n_classes:
-                    raise DataError(f"record {i}: label index {c} out of range")
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -54,7 +49,7 @@ class LabeledTable:
     @property
     def cardinality(self) -> float:
         """Mean number of labels per record; guides the choice of s."""
-        return sum(len(s) for s in self.labels) / self.n_records
+        return int(self.labels.sum()) / self.n_records
 
 
 def parse_label_spec(text):
@@ -117,7 +112,7 @@ def load_csv(path, label_spec=None) -> LabeledTable:
                         f"non-finite value {float(table[r, c])!r}")
 
     if label_spec is None:
-        return LabeledTable(table, (frozenset(),) * len(rows), 0)
+        return LabeledTable(table, np.zeros((len(rows), 0), dtype=bool))
 
     kind, arg = label_spec
     if kind == "col":
@@ -125,9 +120,8 @@ def load_csv(path, label_spec=None) -> LabeledTable:
         if not 0 <= col < width:
             raise DataError(f"{path}: class column {arg} out of range for width {width}")
         classes, index = np.unique(table[:, col], return_inverse=True)
-        singletons = [frozenset((i,)) for i in range(classes.size)]
-        labels = tuple(singletons[i] for i in index.tolist())
-        return LabeledTable(np.delete(table, col, axis=1), labels, classes.size)
+        labels = index.reshape(-1, 1) == np.arange(classes.size)
+        return LabeledTable(np.delete(table, col, axis=1), labels)
 
     # trailing indicator block
     if arg >= width:
@@ -138,8 +132,7 @@ def load_csv(path, label_spec=None) -> LabeledTable:
         r, c = np.argwhere(bad)[0]
         raise DataError(
             f"{path}: row {linenos[r]}: indicator column value {float(block[r, c])} is not 0/1")
-    labels = tuple(frozenset(compress(range(arg), row)) for row in (block == 1.0).tolist())
-    return LabeledTable(np.ascontiguousarray(table[:, : width - arg]), labels, arg)
+    return LabeledTable(np.ascontiguousarray(table[:, : width - arg]), block == 1.0)
 
 
 def _all_numeric(cells):
@@ -151,48 +144,31 @@ def _all_numeric(cells):
     return True
 
 
-def save_csv(table: LabeledTable, path):
-    """Write a LabeledTable as features plus a trailing indicator block;
-    round-trips exactly through load_csv."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(table.n_records):
-            row = [repr(float(v)) for v in table.rows[i]]
-            row += ["1" if j in table.labels[i] else "0" for j in range(table.n_classes)]
-            writer.writerow(row)
-
-
 def to_dataset(table: LabeledTable, outlier_classes=frozenset()) -> Dataset:
     """Convert a labeled table to a Dataset, mapping whole classes to
     outlier status.
 
-    Points labeled only with outlier classes become truth outliers with
-    empty membership sets.  Points with mixed inlier and outlier labels
-    keep only their inlier labels.
+    The inlier classes, in order, become the rows of the truth matrix.
+    Points labeled only with outlier classes become truth outliers, in no
+    truth cluster.  Points with mixed inlier and outlier labels keep only
+    their inlier labels.
     """
+    n_classes = table.labels.shape[1]
     outlier_classes = frozenset(outlier_classes)
-    all_classes = frozenset(range(table.n_classes))
+    all_classes = frozenset(range(n_classes))
     if not outlier_classes <= all_classes:
         raise DataError(f"outlier classes {sorted(outlier_classes - all_classes)} not in table")
-    inlier_classes = sorted(all_classes - outlier_classes)
-    if table.n_classes and not inlier_classes:
+    is_outlier = np.isin(np.arange(n_classes), list(outlier_classes))
+    if n_classes and is_outlier.all():
         raise DataError("every class marked as outlier; no inlier clusters remain")
-    remap = {c: i for i, c in enumerate(inlier_classes)}
-
-    memberships = []
-    flags = np.zeros(table.n_records, dtype=bool)
-    n_mixed = 0
-    for i, labels in enumerate(table.labels):
-        inl = labels - outlier_classes
-        if labels and not inl:
-            flags[i] = True
-        elif inl != labels:
-            n_mixed += 1
-        memberships.append(frozenset(remap[c] for c in inl))
+    inlier_labels = table.labels[:, ~is_outlier]
+    has_inlier = inlier_labels.any(axis=1)
+    has_outlier = table.labels[:, is_outlier].any(axis=1)
+    n_mixed = int((has_inlier & has_outlier).sum())
     if n_mixed:
         log.warning("%d records had mixed inlier/outlier labels; kept their inlier labels",
                     n_mixed)
-    return Dataset(table.rows.T, tuple(memberships), flags)
+    return Dataset(table.rows.T, inlier_labels.T, has_outlier & ~has_inlier)
 
 
 @dataclass(frozen=True)
@@ -258,23 +234,20 @@ def blob_spec(k=3, dim=2, points=50, outliers=2, spread=0.5, separation=10.0,
 def generate_synthetic(spec: SynthSpec) -> Dataset:
     """Seeded blobs-plus-outliers dataset with generator ground truth."""
     rng = np.random.default_rng(spec.seed)
-    chunks, memberships = [], []
+    chunks = []
     for j in range(spec.k):
-        n_j = int(spec.points_per_cluster[j])
         pts = spec.means[j][:, None] + spec.spreads[j] * rng.standard_normal(
-            (spec.n_features, n_j))
+            (spec.n_features, int(spec.points_per_cluster[j])))
         chunks.append(pts)
-        memberships += [frozenset((j,))] * n_j
     if spec.n_outliers:
         pts = rng.uniform(spec.box_low[:, None], spec.box_high[:, None],
                           (spec.n_features, spec.n_outliers))
         chunks.append(pts)
-        memberships += [frozenset()] * spec.n_outliers
     points = np.concatenate(chunks, axis=1)
-    flags = np.zeros(points.shape[1], dtype=bool)
-    if spec.n_outliers:
-        flags[-spec.n_outliers:] = True
-    return Dataset(points, tuple(memberships), flags)
+    # each point's cluster index; the outliers get k, which no truth row has
+    owner = np.repeat(np.arange(spec.k + 1),
+                      np.append(spec.points_per_cluster, spec.n_outliers))
+    return Dataset(points, owner == np.arange(spec.k)[:, None], owner == spec.k)
 
 
 def inject_noise(data: Dataset, count: int, seed=0) -> Dataset:
@@ -289,9 +262,9 @@ def inject_noise(data: Dataset, count: int, seed=0) -> Dataset:
     high = data.points.max(axis=1)
     noise = rng.uniform(low[:, None], high[:, None], (data.n_features, count))
     points = np.concatenate([data.points, noise], axis=1)
-    memberships = None
-    if data.truth_memberships is not None:
-        memberships = data.truth_memberships + (frozenset(),) * count
+    memberships = data.truth_memberships
+    if memberships is not None:
+        memberships = np.hstack([memberships, np.zeros((memberships.shape[0], count), bool)])
     old_flags = data.truth_outliers
     if old_flags is None:
         old_flags = np.zeros(data.n_points, dtype=bool)

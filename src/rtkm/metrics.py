@@ -12,16 +12,26 @@ class MetricError(ValueError):
     """Metric undefined for the given inputs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """Point-index cluster sets (possibly overlapping) plus an outlier set."""
+    """A (k, N) boolean cluster matrix, whose row j marks the points of
+    cluster j (rows may overlap), plus an (N,) boolean outlier vector
+    (default: no outliers)."""
 
-    clusters: tuple
-    outliers: frozenset = frozenset()
+    clusters: np.ndarray
+    outliers: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "clusters", tuple(frozenset(c) for c in self.clusters))
-        object.__setattr__(self, "outliers", frozenset(self.outliers))
+        clusters = np.asarray(self.clusters, dtype=bool)
+        if clusters.ndim != 2:
+            raise MetricError("clusters must be a k x N matrix")
+        outliers = np.zeros(clusters.shape[1], dtype=bool)
+        if self.outliers is not None:
+            outliers = np.asarray(self.outliers, dtype=bool)
+        if outliers.shape != (clusters.shape[1],):
+            raise MetricError("outlier flags must be one per point")
+        object.__setattr__(self, "clusters", clusters)
+        object.__setattr__(self, "outliers", outliers)
 
 
 def clustering_from_result(hard_assignments, n_clusters: int, outlier_flags=None) -> Clustering:
@@ -36,53 +46,33 @@ def clustering_from_result(hard_assignments, n_clusters: int, outlier_flags=None
     if labels.size and not (0 <= labels.min() and labels.max() < n_clusters):
         bad = labels[(labels < 0) | (labels >= n_clusters)][0]
         raise MetricError(f"cluster label {bad} outside [0, {n_clusters})")
-    # group the point indices by label: one stable sort, one slice per cluster
-    order = np.argsort(labels, kind="stable")
-    members = np.repeat(np.arange(len(sets)), sizes)[order].tolist()
-    ends = np.cumsum(np.bincount(labels, minlength=n_clusters)).tolist()
-    clusters = tuple(frozenset(members[a:b]) for a, b in zip([0] + ends, ends))
-    outliers = frozenset()
-    if outlier_flags is not None:
-        outliers = frozenset(np.flatnonzero(np.asarray(outlier_flags, bool)).tolist())
-    return Clustering(clusters, outliers)
-
-
-def f1_single(tp: int, fp: int, fn: int) -> float:
-    """F1 = TP / (TP + (FP + FN)/2); the all-zero case counts as a perfect
-    vacuous match and returns 1."""
-    if tp < 0 or fp < 0 or fn < 0:
-        raise MetricError("counts must be nonnegative")
-    if tp == 0 and fp == 0 and fn == 0:
-        return 1.0
-    return tp / (tp + 0.5 * (fp + fn))
-
-
-def _pair_f1(pred: frozenset, true: frozenset) -> float:
-    tp = len(pred & true)
-    return f1_single(tp, len(pred) - tp, len(true) - tp)
-
-
-def f1_matrix(predicted_sets, truth_sets) -> np.ndarray:
-    return np.array([[_pair_f1(p, t) for t in truth_sets] for p in predicted_sets])
+    clusters = np.zeros((n_clusters, len(sets)), dtype=bool)
+    clusters[labels, np.repeat(np.arange(len(sets)), sizes)] = True
+    return Clustering(clusters, outlier_flags)
 
 
 def average_f1(predicted: Clustering, truth: Clustering) -> float:
     """Mean per-cluster F1 over truth clusters after the exact
     maximum-weight one-to-one matching of predicted to truth clusters.
 
-    When the truth contains outliers, each side's outlier set joins the
-    matching as one extra cluster.  Truth clusters left unmatched score 0.
+    The F1 of clusters p and t is 2|p & t| / (|p| + |t|), and 1 when both
+    are empty.  When the truth contains outliers, each side's outlier set
+    joins the matching as one extra cluster.  Truth clusters left
+    unmatched score 0.
     """
-    pred_sets = list(predicted.clusters)
-    truth_sets = list(truth.clusters)
-    if truth.outliers:
-        pred_sets.append(predicted.outliers)
-        truth_sets.append(truth.outliers)
-    if not truth_sets:
+    pred, true = predicted.clusters, truth.clusters
+    if pred.shape[1] != true.shape[1]:
+        raise MetricError("clusterings cover different numbers of points")
+    if truth.outliers.any():
+        pred = np.vstack([pred, predicted.outliers])
+        true = np.vstack([true, truth.outliers])
+    if true.shape[0] == 0:
         raise MetricError("truth clustering is empty")
-    scores = f1_matrix(pred_sets, truth_sets)
+    tp = pred.astype(float) @ true.T.astype(float)
+    sizes = pred.sum(axis=1)[:, None] + true.sum(axis=1)[None, :]
+    scores = np.where(sizes == 0, 1.0, 2.0 * tp / np.maximum(sizes, 1))
     rows, cols = linear_sum_assignment(scores, maximize=True)
-    return float(scores[rows, cols].sum() / len(truth_sets))
+    return float(scores[rows, cols].sum() / true.shape[0])
 
 
 def me_score(predicted_flags, truth_flags) -> float:

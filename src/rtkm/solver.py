@@ -40,11 +40,12 @@ class Dataset:
     """Column-point data matrix with optional ground truth.
 
     points is m features x N points; truth_memberships (when present) is a
-    length-N tuple of cluster-index frozensets, empty for truth outliers.
+    (k, N) boolean matrix whose row j marks the points of truth cluster j
+    (a point may be in several; truth outliers are in none).
     """
 
     points: np.ndarray
-    truth_memberships: tuple = None
+    truth_memberships: np.ndarray = None
     truth_outliers: np.ndarray = None
 
     def __post_init__(self):
@@ -55,20 +56,19 @@ class Dataset:
             raise ConfigError("points contain non-finite entries")
         object.__setattr__(self, "points", pts)
         if self.truth_memberships is not None:
-            members = tuple(map(frozenset, self.truth_memberships))
-            if len(members) != pts.shape[1]:
-                raise ConfigError("truth_memberships length must equal N")
+            members = np.asarray(self.truth_memberships, dtype=bool)
+            if members.ndim != 2 or members.shape[1] != pts.shape[1]:
+                raise ConfigError("truth_memberships must be a k x N matrix")
             object.__setattr__(self, "truth_memberships", members)
         if self.truth_outliers is not None:
             flags = np.asarray(self.truth_outliers, dtype=bool)
             if flags.shape != (pts.shape[1],):
                 raise ConfigError("truth_outliers length must equal N")
             if self.truth_memberships is not None:
-                for i in np.flatnonzero(flags):
-                    if self.truth_memberships[i]:
-                        raise ConfigError(
-                            f"point {i} is flagged as outlier but has cluster labels"
-                        )
+                labeled = flags & self.truth_memberships.any(axis=0)
+                if labeled.any():
+                    raise ConfigError(f"point {np.flatnonzero(labeled)[0]} is flagged "
+                                      "as outlier but has cluster labels")
             object.__setattr__(self, "truth_outliers", flags)
 
     @property
@@ -115,12 +115,24 @@ class FitResult:
     centers: np.ndarray  # (m, k)
     memberships: np.ndarray  # (k, N)
     inliers: np.ndarray  # (N,), all ones for the non-robust solvers
-    hard_assignments: tuple  # length N, frozensets of cluster indices
+    assignments: np.ndarray  # (k, N) bool: the hard clusters of each point
     outlier_flags: np.ndarray  # (N,) bool
     objective_trace: tuple
     iterations: int
     converged: bool
     stop_reason: str
+
+    def label_lists(self) -> list:
+        """Each point's cluster indices in increasing order, one list per point."""
+        _, labels = np.nonzero(self.assignments.T)  # point-major
+        ends = np.cumsum(self.assignments.sum(axis=0)).tolist()
+        labels = labels.tolist()
+        return [labels[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+    @property
+    def hard_assignments(self) -> tuple:
+        """One frozenset of cluster indices per point, built from assignments."""
+        return tuple(map(frozenset, self.label_lists()))
 
 
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -132,12 +144,6 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     if not np.isfinite(d2).all():
         raise FloatingPointError("squared distances overflow; rescale the data")
     return d2
-
-
-def objective_kmeans(data: Dataset, centers: np.ndarray, memberships: np.ndarray) -> float:
-    """Weighted k-means objective sum_ji w_ji ||x_i - c_j||^2 (objective_rtkm
-    with every inlier weight 1)."""
-    return objective_rtkm(data, centers, memberships, np.ones(data.n_points))
 
 
 def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
@@ -196,10 +202,11 @@ def _start_centers(data, config, initial_centers, rng):
 def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: int = 1):
     """Extract final assignments from converged (W, v).
 
-    s=1 gives singleton argmax sets (ties to the lowest index); s>1 keeps
-    every cluster with weight above SUPPORT_EPS.  The [alpha*N] points of
-    smallest v (ties to the lowest index) are flagged as outliers and get
-    empty assignment sets.
+    Returns a (k, N) boolean assignment matrix and the (N,) outlier flags.
+    s=1 assigns each point to its argmax cluster (ties to the lowest index);
+    s>1 to every cluster with weight above SUPPORT_EPS.  The [alpha*N]
+    points of smallest v (ties to the lowest index) are flagged as outliers
+    and assigned to no cluster.
     """
     w = np.asarray(memberships, dtype=float)
     v = np.asarray(inliers, dtype=float)
@@ -209,26 +216,21 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
     if n_out > 0:
         flags[np.argsort(v, kind="stable")[:n_out]] = True
     if s == 1:
-        singles = [frozenset((j,)) for j in range(k)]
-        best = w.argmax(axis=0).tolist()
-        sets = [frozenset() if out else singles[j] for j, out in zip(best, flags.tolist())]
+        assigned = np.zeros((k, n), dtype=bool)
+        assigned[w.argmax(axis=0), np.arange(n)] = True
     else:
-        support = w > SUPPORT_EPS
-        support[:, flags] = False
-        _, clusters = np.nonzero(support.T)  # point-major: each point's clusters in a run
-        ends = np.cumsum(support.sum(axis=0)).tolist()
-        clusters = clusters.tolist()
-        sets = [frozenset(clusters[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-    return tuple(sets), flags
+        assigned = w > SUPPORT_EPS
+    assigned[:, flags] = False
+    return assigned, flags
 
 
 def _fit_result(C, W, v, alpha, config, trace, iters, converged, reason):
-    sets, flags = hard_assign(W, v, alpha, s=config.s)
+    assigned, flags = hard_assign(W, v, alpha, s=config.s)
     return FitResult(
         centers=C,
         memberships=W,
         inliers=v,
-        hard_assignments=sets,
+        assignments=assigned,
         outlier_flags=flags,
         objective_trace=tuple(trace),
         iterations=iters,

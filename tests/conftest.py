@@ -34,14 +34,30 @@ def grid_projection_oracle(y, mass, levels=16, grid=21):
     return np.clip(best, 0.0, 1.0)
 
 
+def clustering(sets, n_points, outliers=()):
+    """A Clustering of n_points points from per-cluster sets of point indices."""
+    clusters = np.zeros((len(sets), n_points), dtype=bool)
+    for j, members in enumerate(sets):
+        clusters[j, list(members)] = True
+    flags = np.zeros(n_points, dtype=bool)
+    flags[list(outliers)] = True
+    return Clustering(clusters, flags)
+
+
+def pair_f1(pred, true):
+    """F1 = TP / (TP + (FP + FN)/2) of two point sets; two empty sets are a
+    perfect vacuous match."""
+    tp = len(pred & true)
+    fp, fn = len(pred) - tp, len(true) - tp
+    return 1.0 if tp == fp == fn == 0 else tp / (tp + 0.5 * (fp + fn))
+
+
 def exhaustive_average_f1(pred_sets, truth_sets):
     """Maximum of the mean per-truth-cluster F1 over every one-to-one
     matching, by enumerating permutations (small instances only)."""
     from itertools import permutations
 
-    from rtkm.metrics import f1_matrix
-
-    scores = f1_matrix(pred_sets, truth_sets)
+    scores = np.array([[pair_f1(p, t) for t in truth_sets] for p in pred_sets])
     n_pred, n_truth = scores.shape
     best = 0.0
     if n_pred >= n_truth:
@@ -64,23 +80,13 @@ def make_blobs_with_outliers(gen_seed=42, spread=0.6, per_cluster=50,
     pts = np.concatenate(chunks, axis=1)
     n_out = len(outliers)
     n = pts.shape[1]
-    members = tuple(frozenset((j,)) for j in range(3) for _ in range(per_cluster))
-    members += tuple(frozenset() for _ in range(n_out))
+    members = np.zeros((3, n), dtype=bool)
+    for j in range(3):
+        members[j, j * per_cluster:(j + 1) * per_cluster] = True
     flags = np.zeros(n, dtype=bool)
     if n_out:
         flags[-n_out:] = True
     return Dataset(pts, members, flags)
-
-
-def truth_of(dataset):
-    n_true = max((max(s) + 1 for s in dataset.truth_memberships if s), default=0)
-    clusters = tuple(
-        {i for i, s in enumerate(dataset.truth_memberships) if j in s}
-        for j in range(n_true)
-    )
-    outliers = frozenset(np.flatnonzero(dataset.truth_outliers).tolist()) \
-        if dataset.truth_outliers is not None else frozenset()
-    return Clustering(clusters, outliers)
 
 
 @pytest.fixture

@@ -32,13 +32,12 @@ from rtkm import (
 from rtkm.cli import main as cli_main
 from rtkm.cli import predicted_clustering, truth_clustering
 from rtkm.geometry import project_mass
-from rtkm.metrics import f1_single
 
 from conftest import (
+    clustering,
     exhaustive_average_f1,
     grid_projection_oracle,
     make_blobs_with_outliers,
-    truth_of,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -101,14 +100,14 @@ def test_criterion_3_alpha_zero_reduction():
         ok &= same_len and bool(
             np.all(np.abs(np.array(robust.objective_trace)
                           - np.array(relaxed.objective_trace)) <= 1e-12))
-        ok &= robust.hard_assignments == relaxed.hard_assignments
+        ok &= np.array_equal(robust.assignments, relaxed.assignments)
     report(3, "fit_rtkm(alpha=0) reproduces fit_relaxed_kmeans exactly", ok)
 
 
 def test_criterion_4_fig1_scenario():
     started = time.perf_counter()
     ds = make_blobs_with_outliers(gen_seed=42)
-    truth = truth_of(ds)
+    truth = Clustering(ds.truth_memberships, ds.truth_outliers)
     n = ds.n_points
     rtkm_good = 0
     kmeans_bad = 0
@@ -128,7 +127,8 @@ def test_criterion_4_fig1_scenario():
 
 
 def test_criterion_5_metric_ground_truths():
-    ok = f1_single(2, 1, 1) == 2 / 3
+    # one cluster pair with tp=2, fp=1, fn=1
+    ok = average_f1(clustering([{0, 1, 2}], 4), clustering([{0, 1, 3}], 4)) == 2 / 3
     truth_flags = np.array([True, False, False, True, False])
     ok &= me_score(np.ones(5, dtype=bool), truth_flags) == 1.0
     rng = np.random.default_rng(9000)
@@ -140,7 +140,7 @@ def test_criterion_5_metric_ground_truths():
         truth = [frozenset(rng.choice(n_points, rng.integers(0, n_points + 1),
                                       replace=False).tolist())
                  for _ in range(int(rng.integers(1, 6)))]
-        got = average_f1(Clustering(pred), Clustering(truth))
+        got = average_f1(clustering(pred, n_points), clustering(truth, n_points))
         ok &= abs(got - exhaustive_average_f1(pred, truth)) <= 1e-12
     report(5, "F1 and M_e ground truths; matching equals exhaustive search", ok)
 

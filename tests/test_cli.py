@@ -1,10 +1,13 @@
 import csv
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtkm import data as datamod
 from rtkm.cli import main, parse_synth_spec
 
 SYNTH = "k=3,points=50,outliers=2,spread=0.6,separation=10,seed=42"
@@ -120,6 +123,36 @@ def test_eval_mismatched_n(tmp_path):
     assert code == 3
 
 
+def test_eval_standardize_skips_the_points(tmp_path, monkeypatch):
+    """eval reads only the labels, so --standardize parses but z-scores nothing."""
+    res = tmp_path / "res.json"
+    assert run(["fit", "--algorithm", "trimmed", "--synth", SYNTH, "--standardize",
+                "--k", "3", "--alpha", "0.013", "--out", str(res)]) == 0
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    assert run(["eval", "--result", str(res), "--synth", SYNTH, "--out", str(plain)]) == 0
+
+    def standardize(dataset):
+        raise AssertionError("eval standardized the points")
+
+    monkeypatch.setattr(datamod, "standardize", standardize)
+    assert run(["eval", "--result", str(res), "--synth", SYNTH, "--standardize",
+                "--out", str(flagged)]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+
+
+def test_traced_benchmark_targets_resolve():
+    """Every function the traced benchmark run wraps by name still exists."""
+    import rtkm.cli  # noqa: F401  (imports every module the run patches)
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for layer, (module, names) in layers.LAYER_TARGETS.items():
+        for name in names:
+            assert callable(getattr(sys.modules[module], name, None)), (layer, module, name)
+
+
 def test_csv_pipeline(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "data.csv"
@@ -226,6 +259,9 @@ EXIT_CASES = {
     "restarts-zero": (2, lambda t: ["sweep", "--algorithm", "kmeans", "--synth", SMALL,
                                     "--k", "3", "--alpha-grid", "0", "--restarts", "0",
                                     "--out", str(t / "s.csv")]),
+    "sweep-alpha": (2, lambda t: ["sweep", "--algorithm", "rtkm", "--synth", SMALL,
+                                  "--k", "3", "--alpha", "0.5", "--alpha-grid", "0.1",
+                                  "--restarts", "1", "--out", str(t / "s.csv")]),
     "labels-with-synth": (2, lambda t: ["fit", "--algorithm", "kmeans", "--synth", SMALL,
                                         "--labels", "col:-1", "--k", "3",
                                         "--out", str(t / "r.json")]),

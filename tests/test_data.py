@@ -10,11 +10,10 @@ from rtkm.data import (
     inject_noise,
     load_csv,
     parse_label_spec,
-    save_csv,
     standardize,
     to_dataset,
 )
-from rtkm.solver import Dataset
+from rtkm.solver import ConfigError, Dataset
 
 
 # --- label specs --------------------------------------------------------
@@ -37,9 +36,8 @@ def test_load_indicator_fixture(tmp_path):
     table = load_csv(path, "last:2")
     assert table.n_records == 3
     assert table.n_features == 2
-    assert table.n_classes == 2
     np.testing.assert_array_equal(table.rows, [[1, 2], [3, 4], [5, 6]])
-    assert table.labels == (frozenset({0}), frozenset({0, 1}), frozenset())
+    np.testing.assert_array_equal(table.labels, [[True, False], [True, True], [False, False]])
     assert table.cardinality == pytest.approx(3 / 3)
 
 
@@ -47,9 +45,8 @@ def test_load_class_column(tmp_path):
     path = tmp_path / "wbc-like.csv"
     path.write_text("1.0,2.0,4\n3.0,4.0,2\n5.0,6.0,4\n")
     table = load_csv(path, "col:-1")
-    assert table.n_classes == 2
     # classes sorted by raw value: 2 -> 0, 4 -> 1
-    assert table.labels == (frozenset({1}), frozenset({0}), frozenset({1}))
+    np.testing.assert_array_equal(table.labels, [[False, True], [True, False], [False, True]])
     assert table.n_features == 2
 
 
@@ -58,7 +55,7 @@ def test_load_unlabeled_with_header(tmp_path):
     path.write_text("x,y\n0.5,1.5\n2.5,3.5\n")
     table = load_csv(path)
     assert table.n_records == 2
-    assert table.labels == (frozenset(), frozenset())
+    assert table.labels.shape == (2, 0)
 
 
 def test_load_ragged_row_named(tmp_path):
@@ -92,61 +89,62 @@ def test_load_bad_indicator_value(tmp_path):
 
 
 def test_roundtrip(tmp_path):
+    """Features written with repr and a 0/1 indicator block read back exactly."""
     rng = np.random.default_rng(5)
-    table = LabeledTable(
-        rng.normal(0, 3, (20, 4)),
-        tuple(frozenset(rng.choice(3, rng.integers(0, 3), replace=False).tolist())
-              for _ in range(20)),
-        3,
-    )
+    rows = rng.normal(0, 3, (20, 4))
+    labels = rng.random((20, 3)) < 0.4
     path = tmp_path / "rt.csv"
-    save_csv(table, path)
+    path.write_text("".join(",".join([repr(float(v)) for v in row] + [str(int(b)) for b in bits])
+                            + "\n" for row, bits in zip(rows, labels)))
     back = load_csv(path, "last:3")
-    np.testing.assert_array_equal(back.rows, table.rows)
-    assert back.labels == table.labels
+    np.testing.assert_array_equal(back.rows, rows)
+    np.testing.assert_array_equal(back.labels, labels)
 
 
 # --- to_dataset ---------------------------------------------------------
 
 def test_to_dataset_outlier_classes():
-    table = LabeledTable(
-        np.arange(8.0).reshape(4, 2),
-        (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({1})),
-        3,
-    )
+    table = LabeledTable(np.arange(8.0).reshape(4, 2),
+                         np.eye(3, dtype=bool)[[0, 1, 2, 1]])
     ds = to_dataset(table, outlier_classes={2})
     assert ds.truth_outliers.tolist() == [False, False, True, False]
-    assert ds.truth_memberships[2] == frozenset()
-    # inlier classes remapped to 0..k-1
-    assert ds.truth_memberships[0] == frozenset({0})
-    assert ds.truth_memberships[1] == frozenset({1})
+    # inlier classes remapped to 0..k-1; the outlier is in no cluster
+    np.testing.assert_array_equal(ds.truth_memberships,
+                                  [[True, False, False, False], [False, True, False, True]])
     assert ds.points.shape == (2, 4)
 
 
 def test_to_dataset_empty_outlier_set():
-    table = LabeledTable(np.ones((2, 1)), (frozenset({0}), frozenset({1})), 2)
+    table = LabeledTable(np.ones((2, 1)), np.eye(2, dtype=bool))
     ds = to_dataset(table)
     assert not ds.truth_outliers.any()
 
 
 def test_to_dataset_all_classes_outliers_rejected():
-    table = LabeledTable(np.ones((2, 1)), (frozenset({0}), frozenset({1})), 2)
+    table = LabeledTable(np.ones((2, 1)), np.eye(2, dtype=bool))
     with pytest.raises(DataError):
         to_dataset(table, outlier_classes={0, 1})
 
 
 def test_to_dataset_unknown_outlier_class_rejected():
-    table = LabeledTable(np.ones((1, 1)), (frozenset({0}),), 1)
+    table = LabeledTable(np.ones((1, 1)), [[True]])
     with pytest.raises(DataError):
         to_dataset(table, outlier_classes={7})
 
 
 def test_to_dataset_mixed_labels_policies(caplog):
-    table = LabeledTable(np.ones((1, 1)), (frozenset({0, 1}),), 2)
+    table = LabeledTable(np.ones((1, 1)), [[True, True]])
     ds = to_dataset(table, outlier_classes={1})
     assert not ds.truth_outliers[0]
-    assert ds.truth_memberships[0] == frozenset({0})
+    np.testing.assert_array_equal(ds.truth_memberships, [[True]])
     assert "1 records had mixed inlier/outlier labels" in caplog.text
+
+
+def test_dataset_truth_validation():
+    with pytest.raises(ConfigError, match="k x N"):
+        Dataset(np.zeros((1, 3)), np.ones((2, 2), dtype=bool))
+    with pytest.raises(ConfigError, match="point 1 is flagged as outlier"):
+        Dataset(np.zeros((1, 3)), [[True, True, False]], [False, True, True])
 
 
 # --- synthetic generation -----------------------------------------------
@@ -169,17 +167,18 @@ def test_generate_deterministic():
     a = generate_synthetic(blob_spec(seed=7))
     b = generate_synthetic(blob_spec(seed=7))
     np.testing.assert_array_equal(a.points, b.points)
-    assert a.truth_memberships == b.truth_memberships
+    np.testing.assert_array_equal(a.truth_memberships, b.truth_memberships)
 
 
 def test_generate_label_consistency():
     spec = blob_spec(k=4, points=10, outliers=3, seed=3)
     ds = generate_synthetic(spec)
-    for i, labels in enumerate(ds.truth_memberships):
+    assert ds.truth_memberships.shape == (4, 43)
+    for i, labels in enumerate(ds.truth_memberships.T):
         if ds.truth_outliers[i]:
-            assert labels == frozenset()
+            assert not labels.any()
         else:
-            assert labels == frozenset({i // 10})
+            assert np.flatnonzero(labels).tolist() == [i // 10]
 
 
 def test_spec_validation():
@@ -198,8 +197,8 @@ def test_inject_noise_counts_and_flags():
     assert noisy.truth_outliers.sum() == 5
     assert noisy.truth_outliers[-5:].all()
     np.testing.assert_array_equal(noisy.points[:, :20], ds.points)
-    assert noisy.truth_memberships[:20] == ds.truth_memberships
-    assert all(s == frozenset() for s in noisy.truth_memberships[20:])
+    np.testing.assert_array_equal(noisy.truth_memberships[:, :20], ds.truth_memberships)
+    assert not noisy.truth_memberships[:, 20:].any()
 
 
 def test_inject_noise_in_bounding_box():

@@ -8,11 +8,10 @@ from rtkm.metrics import (
     MetricError,
     average_f1,
     clustering_from_result,
-    f1_single,
     me_score,
 )
 
-from conftest import exhaustive_average_f1
+from conftest import clustering, exhaustive_average_f1
 
 
 def random_clustering(rng, n_points, n_clusters):
@@ -23,58 +22,67 @@ def random_clustering(rng, n_points, n_clusters):
     return clusters
 
 
-# --- f1_single ----------------------------------------------------------
+def pair_score(pred, true, n_points):
+    """average_f1 of one predicted against one truth cluster: their F1."""
+    return average_f1(clustering([pred], n_points), clustering([true], n_points))
+
+
+# --- F1 of one cluster pair ---------------------------------------------
 
 def test_f1_perfect():
-    assert f1_single(1, 0, 0) == 1.0
+    assert pair_score({0}, {0}, 1) == 1.0  # tp=1, fp=0, fn=0
 
 
 def test_f1_exact_two_thirds():
-    assert f1_single(2, 1, 1) == 2 / 3
+    assert pair_score({0, 1, 2}, {0, 1, 3}, 4) == 2 / 3  # tp=2, fp=1, fn=1
 
 
 def test_f1_no_true_positives():
-    assert f1_single(0, 3, 2) == 0.0
+    assert pair_score({0, 1, 2}, {3, 4}, 5) == 0.0  # tp=0, fp=3, fn=2
 
 
 def test_f1_vacuous_match_is_one():
-    assert f1_single(0, 0, 0) == 1.0
-
-
-def test_f1_negative_counts_rejected():
-    with pytest.raises(MetricError):
-        f1_single(-1, 0, 0)
+    assert pair_score(set(), set(), 2) == 1.0
 
 
 # --- average_f1 ---------------------------------------------------------
 
 def test_average_f1_identity():
-    c = Clustering(({0, 1}, {2, 3, 4}), frozenset({5}))
+    c = clustering(({0, 1}, {2, 3, 4}), 6, {5})
     assert average_f1(c, c) == 1.0
 
 
 def test_average_f1_label_permutation_invariant():
-    truth = Clustering(({0, 1}, {2, 3}))
-    a = Clustering(({0, 1}, {2, 3}))
-    b = Clustering(({2, 3}, {0, 1}))
+    truth = clustering(({0, 1}, {2, 3}), 4)
+    a = clustering(({0, 1}, {2, 3}), 4)
+    b = clustering(({2, 3}, {0, 1}), 4)
     assert average_f1(a, truth) == average_f1(b, truth)
 
 
 def test_average_f1_empty_truth_rejected():
-    with pytest.raises(MetricError):
-        average_f1(Clustering(({0},)), Clustering(()))
+    with pytest.raises(MetricError, match="truth clustering is empty"):
+        average_f1(clustering(({0},), 1), clustering((), 1))
+
+
+def test_average_f1_rejects_clusterings_of_different_sizes():
+    with pytest.raises(MetricError, match="different numbers of points"):
+        average_f1(clustering(({0},), 1), clustering(({0},), 2))
+    with pytest.raises(MetricError, match="one per point"):
+        Clustering(np.ones((1, 2)), np.ones(3))
 
 
 def test_average_f1_unmatched_truth_scores_zero():
-    truth = Clustering(({0}, {1}, {2}))
-    pred = Clustering(({0},))
+    truth = clustering(({0}, {1}, {2}), 3)
+    pred = clustering(({0},), 3)
     # one perfect match, two unmatched truth clusters
     assert average_f1(pred, truth) == pytest.approx(1 / 3)
+    # a prediction with no clusters leaves every truth cluster unmatched
+    assert average_f1(clustering((), 1), clustering(({0},), 1)) == 0.0
 
 
 def test_average_f1_outliers_form_extra_cluster():
-    truth = Clustering(({0, 1}, {2, 3}), frozenset({4}))
-    perfect_clusters_no_outliers = Clustering(({0, 1}, {2, 3}), frozenset())
+    truth = clustering(({0, 1}, {2, 3}), 5, {4})
+    perfect_clusters_no_outliers = clustering(({0, 1}, {2, 3}), 5)
     # outlier cluster missed entirely: (1 + 1 + 0) / 3
     assert average_f1(perfect_clusters_no_outliers, truth) == pytest.approx(2 / 3)
 
@@ -87,15 +95,15 @@ def test_average_f1_matches_exhaustive_search():
         n_truth = int(rng.integers(1, 6))
         pred = random_clustering(rng, n_points, n_pred)
         truth = random_clustering(rng, n_points, n_truth)
-        got = average_f1(Clustering(pred), Clustering(truth))
+        got = average_f1(clustering(pred, n_points), clustering(truth, n_points))
         want = exhaustive_average_f1(pred, truth)
         assert got == pytest.approx(want, abs=1e-12)
         assert 0.0 <= got <= 1.0
 
 
 def test_average_f1_overlapping_memberships():
-    truth = Clustering(({0, 1, 2}, {2, 3}))
-    pred = Clustering(({0, 1, 2}, {2, 3}))
+    truth = clustering(({0, 1, 2}, {2, 3}), 4)
+    pred = clustering(({0, 1, 2}, {2, 3}), 4)
     assert average_f1(pred, truth) == 1.0
 
 
@@ -143,18 +151,17 @@ def test_me_requires_both_classes():
 def test_clustering_from_result():
     sets = (frozenset({0}), frozenset({0, 1}), frozenset())
     c = clustering_from_result(sets, 2, np.array([False, False, True]))
-    assert c.clusters == (frozenset({0, 1}), frozenset({1}))
-    assert c.outliers == frozenset({2})
+    np.testing.assert_array_equal(c.clusters, [[True, True, False], [False, True, False]])
+    np.testing.assert_array_equal(c.outliers, [False, False, True])
 
 
-def reference_clustering(hard_assignments, n_clusters, outlier_flags):
+def reference_clusters(hard_assignments, n_clusters):
     """Per-point loop: point i joins every cluster in its label set."""
-    clusters = [set() for _ in range(n_clusters)]
+    clusters = np.zeros((n_clusters, len(hard_assignments)), dtype=bool)
     for i, labels in enumerate(hard_assignments):
         for j in labels:
-            clusters[j].add(i)
-    outliers = {i for i, flag in enumerate(outlier_flags) if flag}
-    return Clustering(tuple(clusters), frozenset(outliers))
+            clusters[j, i] = True
+    return clusters
 
 
 @st.composite
@@ -171,20 +178,23 @@ def _assignments(draw):
 @given(_assignments())
 def test_clustering_from_result_matches_per_point_loop(case):
     sets, k, flags = case
-    want = reference_clustering(sets, k, flags)
-    assert clustering_from_result(sets, k, flags) == want
-    assert clustering_from_result(tuple(sets), k, flags) == want
-    # the lists of a result artifact, in sorted or any other order
-    assert clustering_from_result([sorted(s, reverse=True) for s in sets], k, flags) == want
+    want = reference_clusters(sets, k)
+    # the frozensets of a FitResult, or the lists of a result artifact in
+    # sorted or any other order
+    for given_sets in (sets, tuple(sets), [sorted(s, reverse=True) for s in sets]):
+        got = clustering_from_result(given_sets, k, flags)
+        np.testing.assert_array_equal(got.clusters, want)
+        np.testing.assert_array_equal(got.outliers, flags)
 
 
 def test_clustering_from_result_edge_cases():
     # an empty cluster (1), empty sets, s=2 overlap, no outlier flags
     c = clustering_from_result([[0], [], [0, 2], [2]], 3)
-    assert c.clusters == (frozenset({0, 2}), frozenset(), frozenset({2, 3}))
-    assert c.outliers == frozenset()
-    assert clustering_from_result([], 2) == Clustering((frozenset(), frozenset()))
-    assert clustering_from_result([[], []], 0) == Clustering(())
+    np.testing.assert_array_equal(c.clusters, reference_clusters([[0], [], [0, 2], [2]], 3))
+    assert c.clusters[1].sum() == 0
+    assert not c.outliers.any()
+    assert clustering_from_result([], 2).clusters.shape == (2, 0)
+    assert clustering_from_result([[], []], 0).clusters.shape == (0, 2)
 
 
 @pytest.mark.parametrize("sets", [[[0], [3]], [[0], [-1]], [[1, 5]]])

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtkm import (
@@ -16,11 +16,10 @@ from rtkm import (
     fit_trimmed_kmeans,
     hard_assign,
     init_centers,
-    objective_kmeans,
     objective_rtkm,
     trim_count,
 )
-from rtkm.solver import INIT_MODES
+from rtkm.solver import INIT_MODES, SUPPORT_EPS
 
 from conftest import make_blobs_with_outliers
 
@@ -33,23 +32,25 @@ def random_dataset(seed, n_max=200, m_max=5):
 
 
 # --- objectives ---------------------------------------------------------
+# With every inlier weight 1, objective_rtkm is the weighted k-means
+# objective sum_ji w_ji ||x_i - c_j||^2.
 
 def test_objective_zero_at_own_center():
     ds = Dataset([[1.0], [2.0]])
-    assert objective_kmeans(ds, [[1.0], [2.0]], [[1.0]]) == 0.0
+    assert objective_rtkm(ds, [[1.0], [2.0]], [[1.0]], [1.0]) == 0.0
 
 
 def test_objective_hand_computed():
     ds = Dataset([[0.0]])
     c = np.array([[1.0, -1.0]])
     w = np.array([[0.5], [0.5]])
-    assert objective_kmeans(ds, c, w) == pytest.approx(1.0)
+    assert objective_rtkm(ds, c, w, [1.0]) == pytest.approx(1.0)
 
 
 def test_objective_two_identical_points():
     d = 3.0
     ds = Dataset([[d, d]])
-    assert objective_kmeans(ds, [[0.0]], [[1.0, 1.0]]) == pytest.approx(2 * d * d)
+    assert objective_rtkm(ds, [[0.0]], [[1.0, 1.0]], np.ones(2)) == pytest.approx(2 * d * d)
 
 
 def test_objective_rtkm_all_ones_matches_kmeans():
@@ -57,8 +58,9 @@ def test_objective_rtkm_all_ones_matches_kmeans():
     ds = Dataset(rng.normal(0, 1, (3, 20)))
     c = rng.normal(0, 1, (3, 4))
     w = np.abs(rng.normal(0, 1, (4, 20)))
-    assert objective_rtkm(ds, c, w, np.ones(20)) == pytest.approx(
-        objective_kmeans(ds, c, w))
+    kmeans = sum(w[j, i] * ((ds.points[:, i] - c[:, j]) ** 2).sum()
+                 for j in range(4) for i in range(20))
+    assert objective_rtkm(ds, c, w, np.ones(20)) == pytest.approx(kmeans)
 
 
 def test_objective_rtkm_zero_weight_point():
@@ -77,7 +79,7 @@ def test_objective_rtkm_half_weight():
 def test_objective_dimension_mismatch():
     ds = Dataset([[0.0, 1.0]])
     with pytest.raises(ConfigError):
-        objective_kmeans(ds, [[0.0]], [[1.0]])
+        objective_rtkm(ds, [[0.0]], [[1.0]], np.ones(2))
 
 
 # --- trim_count ---------------------------------------------------------
@@ -134,9 +136,8 @@ def test_init_centers_k_exceeds_n():
 def test_kmeans_two_pairs():
     ds = Dataset(np.array([[0.0, 1.0, 10.0, 11.0]]))
     res = fit_kmeans(ds, SolverConfig(k=2, seed=0))
-    assert {frozenset({0, 1}), frozenset({2, 3})} == {
-        frozenset(i for i, s in enumerate(res.hard_assignments) if s == a)
-        for a in set(res.hard_assignments)}
+    assert {frozenset(np.flatnonzero(row).tolist()) for row in res.assignments} == {
+        frozenset({0, 1}), frozenset({2, 3})}
     centers = sorted(res.centers.ravel().tolist())
     assert centers == pytest.approx([0.5, 10.5])
     # within-pair: 2 * (0.5^2) per pair
@@ -159,7 +160,7 @@ def test_kmeans_requires_s_one():
 def test_kmeans_singleton_assignments_and_all_inliers():
     ds = random_dataset(6)
     res = fit_kmeans(ds, SolverConfig(k=3, seed=1))
-    assert all(len(s) == 1 for s in res.hard_assignments)
+    assert (res.assignments.sum(axis=0) == 1).all()
     assert not res.outlier_flags.any()
     np.testing.assert_array_equal(res.inliers, np.ones(ds.n_points))
 
@@ -223,7 +224,7 @@ def test_relaxed_matches_kmeans_partition_from_same_centers():
         centers0 = means + rng.normal(0, 1.0, means.shape)
         relaxed = fit_relaxed_kmeans(ds, cfg, initial_centers=centers0)
         lloyd = fit_kmeans(ds, cfg, initial_centers=centers0)
-        if relaxed.hard_assignments == lloyd.hard_assignments:
+        if np.array_equal(relaxed.assignments, lloyd.assignments):
             matched += 1
     assert matched == 20
 
@@ -239,7 +240,7 @@ def test_rtkm_alpha_zero_equals_relaxed():
         assert len(robust.objective_trace) == len(relaxed.objective_trace)
         np.testing.assert_allclose(robust.objective_trace, relaxed.objective_trace,
                                    rtol=0, atol=1e-12)
-        assert robust.hard_assignments == relaxed.hard_assignments
+        np.testing.assert_array_equal(robust.assignments, relaxed.assignments)
 
 
 def test_rtkm_recovers_fig1_scenario(blobs_dataset):
@@ -248,8 +249,7 @@ def test_rtkm_recovers_fig1_scenario(blobs_dataset):
     assert res.outlier_flags.sum() == 2
     assert set(np.flatnonzero(res.outlier_flags)) == {n - 2, n - 1}
     # three recovered clusters match generator labels up to relabeling
-    labels = {frozenset(i for i, s in enumerate(res.hard_assignments) if s == a)
-              for a in set(res.hard_assignments) if a}
+    labels = {frozenset(np.flatnonzero(row).tolist()) for row in res.assignments}
     expected = {frozenset(range(0, 50)), frozenset(range(50, 100)),
                 frozenset(range(100, 150))}
     assert labels == expected
@@ -297,7 +297,7 @@ def test_trimmed_alpha_zero_matches_kmeans():
         cfg = SolverConfig(k=3, alpha=0.0, seed=seed)
         a = fit_trimmed_kmeans(ds, cfg)
         b = fit_kmeans(ds, cfg)
-        assert a.hard_assignments == b.hard_assignments
+        np.testing.assert_array_equal(a.assignments, b.assignments)
         np.testing.assert_allclose(a.centers, b.centers, atol=1e-12)
         assert not a.outlier_flags.any()
         # the trimming phase adds one step that trims nothing and repeats
@@ -333,51 +333,51 @@ def test_trimmed_cannot_beat_rtkm_on_bad_start(blobs_dataset):
 # --- hard_assign --------------------------------------------------------
 
 def test_hard_assign_argmax():
-    sets, flags = hard_assign(np.array([[0.9], [0.1]]), np.ones(1), 0.0, s=1)
-    assert sets == (frozenset({0}),)
+    assigned, flags = hard_assign(np.array([[0.9], [0.1]]), np.ones(1), 0.0, s=1)
+    np.testing.assert_array_equal(assigned, [[True], [False]])
     assert not flags.any()
 
 
 def test_hard_assign_positive_support():
-    sets, _ = hard_assign(np.array([[1.0], [1.0], [0.0]]), np.ones(1), 0.0, s=2)
-    assert sets == (frozenset({0, 1}),)
+    assigned, _ = hard_assign(np.array([[1.0], [1.0], [0.0]]), np.ones(1), 0.0, s=2)
+    np.testing.assert_array_equal(assigned, [[True], [True], [False]])
 
 
 def test_hard_assign_tie_lowest_index():
-    sets, _ = hard_assign(np.array([[0.5], [0.5]]), np.ones(1), 0.0, s=1)
-    assert sets == (frozenset({0}),)
+    assigned, _ = hard_assign(np.array([[0.5], [0.5]]), np.ones(1), 0.0, s=1)
+    np.testing.assert_array_equal(assigned, [[True], [False]])
 
 
 def test_hard_assign_outliers_empty_sets():
     w = np.array([[1.0, 1.0, 1.0]])
     v = np.array([1.0, 0.2, 1.0])
-    sets, flags = hard_assign(w, v, alpha=1 / 3, s=1)
+    assigned, flags = hard_assign(w, v, alpha=1 / 3, s=1)
     assert flags.tolist() == [False, True, False]
-    assert sets[1] == frozenset()
+    assert assigned.tolist() == [[True, False, True]]
 
 
 def test_hard_assign_v_tie_lowest_index():
     w = np.ones((1, 3))
-    sets, flags = hard_assign(w, np.array([0.5, 0.5, 1.0]), alpha=1 / 3, s=1)
+    _, flags = hard_assign(w, np.array([0.5, 0.5, 1.0]), alpha=1 / 3, s=1)
     assert flags.tolist() == [True, False, False]
 
 
 def reference_hard_assign(w, v, alpha, s, support_eps=1e-6):
     """Per-column loop that hard_assign's vectorised form must reproduce."""
-    n = w.shape[1]
+    k, n = w.shape
     flags = np.zeros(n, dtype=bool)
     n_out = trim_count(alpha, n)
     if n_out > 0:
         flags[np.argsort(v, kind="stable")[:n_out]] = True
-    sets = []
+    assigned = np.zeros((k, n), dtype=bool)
     for i in range(n):
         if flags[i]:
-            sets.append(frozenset())
-        elif s == 1:
-            sets.append(frozenset((int(np.argmax(w[:, i])),)))
+            continue
+        if s == 1:
+            assigned[int(np.argmax(w[:, i])), i] = True
         else:
-            sets.append(frozenset(np.flatnonzero(w[:, i] > support_eps).tolist()))
-    return tuple(sets), flags
+            assigned[np.flatnonzero(w[:, i] > support_eps), i] = True
+    return assigned, flags
 
 
 def test_hard_assign_matches_reference_loop():
@@ -392,17 +392,17 @@ def test_hard_assign_matches_reference_loop():
         w[:, rng.random(n) < 0.2] = 1e-7  # below SUPPORT_EPS
         v = rng.integers(0, 3, n) / 2
         alpha = float(rng.choice([0.0, 0.1, 0.3]))
-        sets, flags = hard_assign(w, v, alpha, s=s)
-        want_sets, want_flags = reference_hard_assign(w, v, alpha, s)
-        assert sets == want_sets, trial
+        assigned, flags = hard_assign(w, v, alpha, s=s)
+        want_assigned, want_flags = reference_hard_assign(w, v, alpha, s)
+        assert assigned.dtype == bool
+        np.testing.assert_array_equal(assigned, want_assigned, err_msg=str(trial))
         np.testing.assert_array_equal(flags, want_flags)
-        assert all(isinstance(j, int) for c in sets for j in c)
 
 
 def test_hard_assign_inlier_without_support_is_empty():
     w = np.array([[0.9, 1e-7], [0.8, 1e-7]])
-    sets, flags = hard_assign(w, np.ones(2), 0.0, s=2)
-    assert sets == (frozenset({0, 1}), frozenset())
+    assigned, flags = hard_assign(w, np.ones(2), 0.0, s=2)
+    np.testing.assert_array_equal(assigned, [[True, False], [True, False]])
     assert not flags.any()
 
 
@@ -429,34 +429,75 @@ def test_determinism():
     np.testing.assert_array_equal(a.memberships, b.memberships)
     np.testing.assert_array_equal(a.inliers, b.inliers)
     assert a.objective_trace == b.objective_trace
-    assert a.hard_assignments == b.hard_assignments
+    np.testing.assert_array_equal(a.assignments, b.assignments)
 
 
-def test_translation_equivariance():
-    ds = random_dataset(301, n_max=60)
-    shift = np.array([5.0, -3.0, 11.0, 0.5, 2.0])[: ds.n_features]
-    shifted = Dataset(ds.points + shift[:, None])
-    cfg = SolverConfig(k=3, s=1, alpha=0.1, seed=4)
-    a = fit_rtkm(ds, cfg)
-    b = fit_rtkm(shifted, cfg)
-    np.testing.assert_allclose(b.centers, a.centers + shift[:, None], atol=1e-8)
-    np.testing.assert_allclose(b.memberships, a.memberships, atol=1e-8)
-    assert a.hard_assignments == b.hard_assignments
-    np.testing.assert_array_equal(a.outlier_flags, b.outlier_flags)
+@st.composite
+def _equivariance_inputs(draw):
+    """Gaussian points, an rtkm config with a fixed start, and a numpy
+    generator for the shift or permutation, all from hypothesis seeds."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, min(n, 4)))
+    config = SolverConfig(k=k, s=draw(st.integers(1, k)),
+                          alpha=draw(st.sampled_from([0.0, 0.1, 0.25])),
+                          max_iters=draw(st.integers(1, 60)), seed=draw(st.integers(0, 99)),
+                          init=draw(st.sampled_from(INIT_MODES)), w_init="projected")
+    return Dataset(rng.normal(0.0, 3.0, (m, n))), config, rng
 
 
-def test_permutation_consistency():
-    ds = random_dataset(302, n_max=50)
-    n = ds.n_points
-    rng = np.random.default_rng(1)
-    perm = rng.permutation(n)
-    permuted = Dataset(ds.points[:, perm])
-    cfg = SolverConfig(k=3, s=1, alpha=0.1, seed=2, w_init="projected")
+def decisive(res, cfg, tol=1e-8):
+    """Whether every hard decision of res clears its tie by more than tol,
+    so that rounding at the level of the tests' tolerances cannot flip it:
+    the [alpha*N]-th against the next smallest v, and the largest against
+    the second largest w (s=1) or every w against SUPPORT_EPS (s>1)."""
+    v = np.sort(res.inliers)
+    n_out = trim_count(cfg.alpha, v.size)
+    if 0 < n_out < v.size and v[n_out] - v[n_out - 1] <= tol:
+        return False
+    w = res.memberships
+    if cfg.s > 1:
+        return bool((np.abs(w - SUPPORT_EPS) > tol).all())
+    top = np.sort(w, axis=0)
+    return w.shape[0] == 1 or bool((top[-1] - top[-2] > tol).all())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_equivariance_inputs())
+def test_translation_equivariance(inputs):
+    """Shifting every point shifts the centers and leaves W, v and the hard
+    output unchanged."""
+    ds, cfg, rng = inputs
+    shift = rng.uniform(-10.0, 10.0, ds.n_features)
     centers0 = init_centers(ds, cfg)
     a = fit_rtkm(ds, cfg, initial_centers=centers0)
-    b = fit_rtkm(permuted, cfg, initial_centers=centers0)
+    assume(decisive(a, cfg))
+    b = fit_rtkm(Dataset(ds.points + shift[:, None]), cfg,
+                 initial_centers=centers0 + shift[:, None])
+    np.testing.assert_allclose(b.centers, a.centers + shift[:, None], atol=1e-8)
+    np.testing.assert_allclose(b.memberships, a.memberships, atol=1e-8)
+    np.testing.assert_allclose(b.inliers, a.inliers, atol=1e-8)
+    np.testing.assert_array_equal(b.assignments, a.assignments)
+    np.testing.assert_array_equal(b.outlier_flags, a.outlier_flags)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_equivariance_inputs())
+def test_permutation_consistency(inputs):
+    """Reordering the points from the same start centers reorders W, v and
+    the hard output the same way."""
+    ds, cfg, rng = inputs
+    perm = rng.permutation(ds.n_points)
+    centers0 = init_centers(ds, cfg)
+    a = fit_rtkm(ds, cfg, initial_centers=centers0)
+    assume(decisive(a, cfg))
+    b = fit_rtkm(Dataset(ds.points[:, perm]), cfg, initial_centers=centers0)
+    np.testing.assert_allclose(b.centers, a.centers, atol=1e-8)
     np.testing.assert_allclose(b.memberships, a.memberships[:, perm], atol=1e-12)
     np.testing.assert_allclose(b.inliers, a.inliers[perm], atol=1e-12)
+    np.testing.assert_array_equal(b.assignments, a.assignments[:, perm])
+    np.testing.assert_array_equal(b.outlier_flags, a.outlier_flags[perm])
 
 
 @st.composite
@@ -506,7 +547,12 @@ def test_fit_invariants_on_edge_shapes(inputs):
         assert v.min() >= -1e-12 and v.max() <= 1 + 1e-12, name
         np.testing.assert_allclose(v.sum(), n - n_out, atol=1e-8, err_msg=name)
         assert res.outlier_flags.sum() == n_out, name
-        for labels, out in zip(res.hard_assignments, res.outlier_flags):
-            assert (not labels) if out else len(labels) >= cfg.s, name
+        sizes = res.assignments.sum(axis=0)
+        assert (sizes[res.outlier_flags] == 0).all(), name
+        assert (sizes[~res.outlier_flags] >= cfg.s).all(), name
+        # the per-point sets handed out are the columns of the matrix
+        assert res.hard_assignments == tuple(
+            frozenset(np.flatnonzero(col).tolist()) for col in res.assignments.T), name
+        assert all(type(j) is int for labels in res.label_lists() for j in labels), name
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0])), name
