@@ -141,8 +141,10 @@ def parse_labels(text):
     return text
 
 
-def load_dataset(args):
-    """Resolve the dataset flags into (Dataset, identity dict)."""
+def load_dataset(args, standardize=True):
+    """Resolve the dataset flags into (Dataset, identity dict).  The points
+    are z-scored under --standardize unless standardize is false, as in
+    eval, which never reads them."""
     if args.synth is not None:
         dataset = datamod.generate_synthetic(datamod.blob_spec(**args.synth))
         identity = {"synth": args.synth}
@@ -155,6 +157,8 @@ def load_dataset(args):
         identity = {"path": args.data, "sha256": digest,
                     "labels": args.labels,
                     "outlier_classes": sorted(outlier_classes)}
+    if standardize and args.standardize:
+        dataset = datamod.standardize(dataset)
     return dataset, identity
 
 
@@ -182,10 +186,6 @@ def truth_clustering(dataset):
     return Clustering(truth[:n_true], dataset.truth_outliers)
 
 
-def predicted_clustering(result):
-    return Clustering(result.assignments, result.outlier_flags)
-
-
 def _write_json(obj, path):
     text = json.dumps(obj, sort_keys=True) + "\n"
     if path is None:
@@ -197,8 +197,6 @@ def _write_json(obj, path):
 
 def cmd_fit(args):
     dataset, identity = load_dataset(args)
-    if args.standardize:
-        dataset = datamod.standardize(dataset)
     config = make_config(args)
     started = time.perf_counter()
     result = ALGORITHMS[args.algorithm](dataset, config)
@@ -240,8 +238,6 @@ def _stats(values):
 
 def cmd_sweep(args):
     dataset, identity = load_dataset(args)
-    if args.standardize:
-        dataset = datamod.standardize(dataset)
     truth = truth_clustering(dataset)
     score_outliers = has_outlier_truth(dataset)
 
@@ -253,7 +249,7 @@ def cmd_sweep(args):
             config = make_config(args, alpha=alpha, seed=args.seed + r)
             try:
                 result = ALGORITHMS[args.algorithm](dataset, config)
-                f1s.append(average_f1(predicted_clustering(result), truth))
+                f1s.append(average_f1(Clustering(result.assignments, result.outlier_flags), truth))
                 if score_outliers:
                     mes.append(me_score(result.outlier_flags, dataset.truth_outliers))
             except (ConfigError, MetricError, FloatingPointError) as exc:
@@ -306,7 +302,7 @@ def read_result(path, n_points):
 
 
 def cmd_eval(args):
-    dataset, identity = load_dataset(args)
+    dataset, identity = load_dataset(args, standardize=False)
     truth = truth_clustering(dataset)
     k, hard, flags = read_result(args.result, dataset.n_points)
     try:

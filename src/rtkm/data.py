@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Dataset
+from .solver import Dataset, as_boolean
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +32,7 @@ class LabeledTable:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2:
             raise DataError("rows must be a 2-d array")
-        labels = np.asarray(self.labels, dtype=bool)
+        labels = as_boolean(self.labels, DataError, "labels")
         if labels.ndim != 2 or labels.shape[0] != rows.shape[0]:
             raise DataError("labels must be a matrix with one row per record")
         object.__setattr__(self, "rows", rows)

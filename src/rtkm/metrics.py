@@ -7,6 +7,8 @@ from itertools import chain
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .solver import as_boolean
+
 
 class MetricError(ValueError):
     """Metric undefined for the given inputs."""
@@ -22,12 +24,12 @@ class Clustering:
     outliers: np.ndarray = None
 
     def __post_init__(self):
-        clusters = np.asarray(self.clusters, dtype=bool)
+        clusters = as_boolean(self.clusters, MetricError, "clusters")
         if clusters.ndim != 2:
             raise MetricError("clusters must be a k x N matrix")
         outliers = np.zeros(clusters.shape[1], dtype=bool)
         if self.outliers is not None:
-            outliers = np.asarray(self.outliers, dtype=bool)
+            outliers = as_boolean(self.outliers, MetricError, "outlier flags")
         if outliers.shape != (clusters.shape[1],):
             raise MetricError("outlier flags must be one per point")
         object.__setattr__(self, "clusters", clusters)

@@ -13,6 +13,7 @@ runs relaxed k-means and RTKM.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -33,6 +34,19 @@ def trim_count(alpha: float, n_points: int) -> int:
     """Number of trimmed points [alpha*N]: nearest integer, halves round up."""
     target = np.round(alpha * n_points, 9)  # absorb binary representation error
     return int(np.floor(target + 0.5))
+
+
+def as_boolean(values, error, what):
+    """values as a boolean array.  Raises error when values is ragged or
+    has entries that are not booleans, so that per-point label lists or
+    0/1 integers are never read as a matrix of flags."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise error(f"{what} must be a rectangular boolean array") from None
+    if array.dtype != bool and array.size:
+        raise error(f"{what} must be a boolean array, not {array.dtype}")
+    return array.astype(bool, copy=False)
 
 
 @dataclass(frozen=True)
@@ -56,12 +70,12 @@ class Dataset:
             raise ConfigError("points contain non-finite entries")
         object.__setattr__(self, "points", pts)
         if self.truth_memberships is not None:
-            members = np.asarray(self.truth_memberships, dtype=bool)
+            members = as_boolean(self.truth_memberships, ConfigError, "truth_memberships")
             if members.ndim != 2 or members.shape[1] != pts.shape[1]:
                 raise ConfigError("truth_memberships must be a k x N matrix")
             object.__setattr__(self, "truth_memberships", members)
         if self.truth_outliers is not None:
-            flags = np.asarray(self.truth_outliers, dtype=bool)
+            flags = as_boolean(self.truth_outliers, ConfigError, "truth_outliers")
             if flags.shape != (pts.shape[1],):
                 raise ConfigError("truth_outliers length must equal N")
             if self.truth_memberships is not None:
@@ -129,9 +143,10 @@ class FitResult:
         labels = labels.tolist()
         return [labels[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
-    @property
+    @cached_property
     def hard_assignments(self) -> tuple:
-        """One frozenset of cluster indices per point, built from assignments."""
+        """One frozenset of cluster indices per point, built from assignments
+        on first access."""
         return tuple(map(frozenset, self.label_lists()))
 
 

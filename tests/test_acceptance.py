@@ -30,7 +30,7 @@ from rtkm import (
     trim_count,
 )
 from rtkm.cli import main as cli_main
-from rtkm.cli import predicted_clustering, truth_clustering
+from rtkm.cli import truth_clustering
 from rtkm.geometry import project_mass
 
 from conftest import (
@@ -113,12 +113,12 @@ def test_criterion_4_fig1_scenario():
     kmeans_bad = 0
     for seed in range(10):
         res = fit_rtkm(ds, SolverConfig(k=3, s=1, alpha=2 / n, seed=seed))
-        f1 = average_f1(predicted_clustering(res), truth)
+        f1 = average_f1(Clustering(res.assignments, res.outlier_flags), truth)
         me = me_score(res.outlier_flags, ds.truth_outliers)
         if f1 >= 0.95 and me == 0.0:
             rtkm_good += 1
         km = fit_kmeans(ds, SolverConfig(k=3, s=1, seed=seed))
-        if average_f1(predicted_clustering(km), truth) < 0.95:
+        if average_f1(Clustering(km.assignments, km.outlier_flags), truth) < 0.95:
             kmeans_bad += 1
     elapsed = time.perf_counter() - started
     report(4, f"Fig-1 scenario: RTKM good in {rtkm_good}/10, k-means degraded in "
@@ -173,7 +173,7 @@ def test_criterion_7a_yeast_table1():
     ds = to_dataset(table)
     best = _best_of_restarts(fit_rtkm, ds,
                              SolverConfig(k=14, s=4, alpha=0.0, seed=0), 5)
-    f1 = average_f1(predicted_clustering(best), truth_clustering(ds))
+    f1 = average_f1(Clustering(best.assignments, best.outlier_flags), truth_clustering(ds))
     elapsed = time.perf_counter() - started
     report("7a", f"yeast protocol F1 = {f1:.3f} (target 0.317 +/- 0.05, "
                  f"{elapsed:.0f}s)", abs(f1 - 0.317) <= 0.05 and elapsed < 300)
@@ -187,7 +187,7 @@ def test_criterion_7b_scene_table1():
     ds = to_dataset(table)
     best = _best_of_restarts(fit_rtkm, ds,
                              SolverConfig(k=6, s=1, alpha=0.0, seed=0), 5)
-    f1 = average_f1(predicted_clustering(best), truth_clustering(ds))
+    f1 = average_f1(Clustering(best.assignments, best.outlier_flags), truth_clustering(ds))
     elapsed = time.perf_counter() - started
     report("7b", f"scene protocol F1 = {f1:.3f} (target 0.597 +/- 0.05, "
                  f"{elapsed:.0f}s)", abs(f1 - 0.597) <= 0.05 and elapsed < 300)

@@ -145,6 +145,17 @@ def test_dataset_truth_validation():
         Dataset(np.zeros((1, 3)), np.ones((2, 2), dtype=bool))
     with pytest.raises(ConfigError, match="point 1 is flagged as outlier"):
         Dataset(np.zeros((1, 3)), [[True, True, False]], [False, True, True])
+    with pytest.raises(ConfigError, match="boolean array"):
+        Dataset(np.zeros((1, 2)), [[0, 1]])  # a per-point label, not a flag matrix
+    with pytest.raises(ConfigError, match="boolean array"):
+        Dataset(np.zeros((1, 2)), None, [0, 1])
+
+
+def test_labeled_table_rejects_non_boolean_labels():
+    with pytest.raises(DataError, match="boolean array"):
+        LabeledTable(np.ones((3, 1)), [[0], [1], [0]])  # class indices, not flags
+    with pytest.raises(DataError, match="rectangular"):
+        LabeledTable(np.ones((2, 1)), [[True], [True, False]])
 
 
 # --- synthetic generation -----------------------------------------------

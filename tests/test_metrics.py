@@ -68,7 +68,18 @@ def test_average_f1_rejects_clusterings_of_different_sizes():
     with pytest.raises(MetricError, match="different numbers of points"):
         average_f1(clustering(({0},), 1), clustering(({0},), 2))
     with pytest.raises(MetricError, match="one per point"):
-        Clustering(np.ones((1, 2)), np.ones(3))
+        Clustering(np.ones((1, 2), dtype=bool), np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("clusters,outliers", [
+    ([[0, 1], [2, 3]], None),  # per-cluster point indices, not flags
+    ([[1, 0], [0, 1]], None),  # 0/1 integers
+    ([[True, False]], [0, 1]),
+    ([[True], [True, False]], None),  # ragged
+])
+def test_clustering_rejects_non_boolean_input(clusters, outliers):
+    with pytest.raises(MetricError, match="boolean array"):
+        Clustering(clusters, outliers)
 
 
 def test_average_f1_unmatched_truth_scores_zero():
