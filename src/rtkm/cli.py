@@ -177,13 +177,11 @@ def has_outlier_truth(dataset):
 
 
 def truth_clustering(dataset):
-    """The truth clusters are the labels up to the highest one in use."""
+    """The truth clusters are the labels in use; an empty class is none."""
     truth = dataset.truth_memberships
     if truth is None:
         raise datamod.DataError("dataset carries no ground-truth memberships")
-    used = np.flatnonzero(truth.any(axis=1))
-    n_true = used[-1] + 1 if used.size else 0
-    return Clustering(truth[:n_true], dataset.truth_outliers)
+    return Clustering(truth[truth.any(axis=1)], dataset.truth_outliers)
 
 
 def _write_json(obj, path):

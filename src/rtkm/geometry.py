@@ -7,20 +7,85 @@ piecewise linear and nonincreasing with breakpoints {y_j - 1, y_j}, so tau
 is found exactly by bisecting over the 2n sorted breakpoints for the
 segment where f crosses s and interpolating on it (Wang & Lu, "Projection
 onto the Capped Simplex", arXiv:1503.01002).
+
+Columns are independent, so a wide matrix is projected in contiguous blocks
+of columns, one per CPU, each on its own thread.  Every column goes through
+the same operations in the same order in any block, so the output does not
+depend on the number of blocks.
 """
 
+import os
+import threading
+
 import numpy as np
+
+# Least n * B at which project_columns splits its columns over threads.
+# Below it, starting threads and passing the interpreter lock between them
+# costs more than the blocks save.  Medians on 2 CPUs, one thread against
+# two: n=14, B=2400 took 1.4 against 3.0 ms; the two break even near
+# n*B = 100000-150000; n=50, B=4000 took 8.3 against 7.0 ms and n=50,
+# B=10000 23.6 against 13.6 ms.
+PARALLEL_MIN_ENTRIES = 150_000
 
 
 class InfeasibleSimplexError(ValueError):
     """Requested mass lies outside [0, dimension]."""
 
 
+def _cpu_count():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _project_block(Y, mass, out):
+    """Write the projection of every column of Y into out (same shape).
+
+    out also holds each evaluation of f and Y - 1 for the active count, so
+    a block allocates only its 2n sorted breakpoints beyond a few vectors.
+    """
+    n, b = Y.shape
+    bps = np.empty((2 * n, b))
+    np.subtract(Y, 1.0, out=bps[:n])
+    bps[n:] = Y
+    bps.sort(axis=0)
+    flat = bps.reshape(-1)
+    cols = np.arange(b)
+
+    def f(tau):  # summed over rows in order, so each column's f is monotone
+        np.subtract(Y, tau, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+        return out.sum(axis=0)
+
+    # Largest breakpoint index with f >= mass: f(bps[0]) = n, f(bps[-1]) = 0.
+    lo = np.zeros(b, dtype=np.intp)
+    hi = np.full(b, 2 * n - 1, dtype=np.intp)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        ge = f(flat[mid * b + cols]) >= mass
+        np.copyto(lo, mid, where=ge)
+        np.copyto(hi, mid, where=~ge)
+    tau0 = flat[lo * b + cols]
+    f0 = f(tau0)
+    np.subtract(Y, 1.0, out=out)
+    active = np.count_nonzero((out <= tau0) & (Y > tau0), axis=0)
+    tau = np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
+    np.subtract(Y, tau, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
+
+
 def project_columns(Y, mass: float) -> np.ndarray:
     """Project every column of an (n, B) matrix onto the mass-capped simplex.
 
     Exact in O(nB log n) time and O(nB) memory; raises on non-finite input
-    or a mass outside [0, n].
+    or a mass outside [0, n].  When n * B reaches PARALLEL_MIN_ENTRIES, the
+    columns are split into contiguous blocks of at least two columns, one
+    per CPU the process may run on; the calling thread projects one block
+    and a thread started for this call projects each other one.  The
+    output is bit-identical for any number of blocks, and an error raised
+    in a block is raised here.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -34,25 +99,36 @@ def project_columns(Y, mass: float) -> np.ndarray:
         return np.zeros_like(Y)
     if mass == n:
         return np.ones_like(Y)
-    bps = np.sort(np.concatenate((Y - 1.0, Y), axis=0), axis=0)  # (2n, B)
-    cols = np.arange(b)
+    out = np.empty_like(Y)
+    # A block is at least two columns wide: numpy sums a one-column block
+    # pairwise rather than row by row, which can change the last bit.
+    blocks = min(_cpu_count(), b // 2) if n * b >= PARALLEL_MIN_ENTRIES else 1
+    if blocks <= 1:
+        _project_block(Y, mass, out)
+        return out
 
-    def f(tau):  # summed over rows in order, so each column's f is monotone
-        return np.clip(Y - tau, 0.0, 1.0).sum(axis=0)
+    edges = [b * i // blocks for i in range(blocks + 1)]
+    errors = [None] * blocks
+    floating_point = np.geterr()  # numpy's error handling is per thread
 
-    # Largest breakpoint index with f >= mass: f(bps[0]) = n, f(bps[-1]) = 0.
-    lo = np.zeros(b, dtype=np.intp)
-    hi = np.full(b, 2 * n - 1, dtype=np.intp)
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        ge = f(bps[mid, cols]) >= mass
-        lo = np.where(ge, mid, lo)
-        hi = np.where(ge, hi, mid)
-    tau0 = bps[lo, cols]
-    f0 = f(tau0)
-    active = np.count_nonzero((Y - 1.0 <= tau0) & (Y > tau0), axis=0)
-    tau = np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
-    return np.clip(Y - tau, 0.0, 1.0)
+    def run(i):
+        try:
+            with np.errstate(**floating_point):
+                _project_block(Y[:, edges[i]:edges[i + 1]], mass,
+                               out[:, edges[i]:edges[i + 1]])
+        except BaseException as exc:  # raised again in the caller
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, blocks)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out
 
 
 def project_mass(y, mass: float) -> np.ndarray:

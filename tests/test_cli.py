@@ -175,6 +175,21 @@ def test_csv_pipeline(tmp_path):
     assert json.loads(metrics_out.read_text())["metrics"]["average_f1"] == 1.0
 
 
+@pytest.mark.parametrize("classes", [("1,0,0", "0,0,1"), ("1,0,0", "0,1,0")])
+def test_eval_ignores_empty_class_wherever_it_sits(tmp_path, classes):
+    """An indicator class no record carries is no truth cluster, whether it
+    sits before or after the classes in use."""
+    first, second = classes
+    path = tmp_path / "data.csv"
+    path.write_text(f"0,0,{first}\n0.1,0,{first}\n10,10,{second}\n10.1,10,{second}\n")
+    res, metrics_out = tmp_path / "res.json", tmp_path / "m.json"
+    assert run(["fit", "--algorithm", "kmeans", "--data", str(path), "--labels", "last:3",
+                "--k", "2", "--seed", "0", "--out", str(res)]) == 0
+    assert run(["eval", "--result", str(res), "--data", str(path), "--labels", "last:3",
+                "--out", str(metrics_out)]) == 0
+    assert json.loads(metrics_out.read_text())["metrics"]["average_f1"] == 1.0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("algorithm", ["kmeans", "rtkm", "trimmed"])
 @pytest.mark.parametrize("init", ["random-points", "kmeans++"])

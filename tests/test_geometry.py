@@ -1,8 +1,12 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtkm import geometry
 from rtkm.geometry import InfeasibleSimplexError, project_columns, project_mass
 
 from conftest import grid_projection_oracle
@@ -174,3 +178,131 @@ def test_project_columns_properties(inputs):
         np.testing.assert_allclose(w, project_columns(Y[:, [i]], mass)[:, 0],
                                    rtol=0, atol=1e-12)
     np.testing.assert_allclose(project_columns(W, mass), W, rtol=0, atol=tol)
+
+
+def _reference_project_columns(Y, mass):
+    """The one-thread projection the blocked one must match bit for bit."""
+    Y = np.asarray(Y, dtype=float)
+    n, b = Y.shape
+    if mass == 0.0:
+        return np.zeros_like(Y)
+    if mass == n:
+        return np.ones_like(Y)
+    bps = np.sort(np.concatenate((Y - 1.0, Y), axis=0), axis=0)
+    cols = np.arange(b)
+
+    def f(tau):
+        return np.clip(Y - tau, 0.0, 1.0).sum(axis=0)
+
+    lo = np.zeros(b, dtype=np.intp)
+    hi = np.full(b, 2 * n - 1, dtype=np.intp)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        ge = f(bps[mid, cols]) >= mass
+        lo = np.where(ge, mid, lo)
+        hi = np.where(ge, hi, mid)
+    tau0 = bps[lo, cols]
+    f0 = f(tau0)
+    active = np.count_nonzero((Y - 1.0 <= tau0) & (Y > tau0), axis=0)
+    tau = np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
+    return np.clip(Y - tau, 0.0, 1.0)
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class _RecordingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projection_inputs(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from("CF"))
+def test_blocked_projection_matches_reference_bit_for_bit(inputs, cpus, seed, order):
+    Y, mass = inputs
+    rng = np.random.default_rng(seed)
+    Y[rng.random(Y.shape) < 0.1] = 0.0
+    Y[rng.random(Y.shape) < 0.1] = -0.0
+    Y = np.asarray(Y, order=order)
+    expected = _reference_project_columns(Y, mass)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        _assert_same_bits(project_columns(Y, mass), expected)
+
+
+def test_no_block_is_one_column_wide(monkeypatch):
+    """numpy sums an (n, 1) block pairwise, not row by row as in a wider
+    one, and the sum order reaches the last bit of the output."""
+    Y = np.random.default_rng(0).normal(0.0, 1.0, (40, 4))
+    monkeypatch.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    _assert_same_bits(project_columns(Y, 4.0), _reference_project_columns(Y, 4.0))
+
+
+def test_block_error_reaches_the_caller(monkeypatch):
+    kernel = geometry._project_block
+
+    def failing_off_the_caller(Y, mass, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("block failed")
+        kernel(Y, mass, out)
+
+    monkeypatch.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(geometry, "_project_block", failing_off_the_caller)
+    with pytest.raises(RuntimeError, match="block failed"):
+        project_columns(np.zeros((3, 6)), 1.0)
+
+
+def test_blocks_keep_the_callers_floating_point_errors(monkeypatch):
+    """numpy's error handling is per thread; a block obeys the caller's."""
+    Y = np.zeros((2, 4))
+    Y[:, 2:] = [[1.7e308], [-1.7e308]]  # Y - tau overflows in the second block
+    monkeypatch.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            project_columns(Y, 1.0)
+
+
+@pytest.mark.parametrize("cpus, affinity, threads", [
+    (4, None, 3),    # no sched_getaffinity: os.cpu_count() decides
+    (1, None, 0),
+    (None, None, 0),
+    (4, {0}, 0),     # one CPU in the affinity mask
+])
+def test_cpu_count_sources(monkeypatch, cpus, affinity, threads):
+    Y = np.random.default_rng(3).normal(0.0, 2.0, (5, 40))
+    expected = _reference_project_columns(Y, 2.0)
+    monkeypatch.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(threading, "Thread", _RecordingThread)
+    monkeypatch.setattr(_RecordingThread, "started", 0)
+    _assert_same_bits(project_columns(Y, 2.0), expected)
+    assert _RecordingThread.started == threads
+
+
+def test_small_and_one_column_calls_stay_on_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(threading, "Thread", _RecordingThread)
+    monkeypatch.setattr(_RecordingThread, "started", 0)
+    rng = np.random.default_rng(4)
+    project_columns(rng.normal(size=(14, 2400)), 4.0)
+    project_mass(rng.normal(size=geometry.PARALLEL_MIN_ENTRIES), 100.0)
+    assert _RecordingThread.started == 0
+    Y = rng.normal(size=(50, 4000))
+    _assert_same_bits(project_columns(Y, 4.0), _reference_project_columns(Y, 4.0))
+    assert _RecordingThread.started == 3
