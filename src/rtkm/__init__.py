@@ -20,8 +20,6 @@ from .metrics import Clustering, average_f1, me_score
 from .data import (
     DataError,
     LabeledTable,
-    SynthSpec,
-    blob_spec,
     generate_synthetic,
     inject_noise,
     load_csv,
@@ -38,9 +36,7 @@ __all__ = [
     "FitResult",
     "LabeledTable",
     "SolverConfig",
-    "SynthSpec",
     "average_f1",
-    "blob_spec",
     "fit_kmeans",
     "fit_relaxed_kmeans",
     "fit_rtkm",

@@ -29,7 +29,7 @@ EXIT_NUMERIC = 4
 CONFIG_FLAGS = ("k", "s", "alpha", "step_d", "step_e", "max_iters", "tol", "seed", "init")
 # --synth keys with their defaults, whose types the values take.
 SYNTH_DEFAULTS = {name: param.default for name, param
-                  in inspect.signature(datamod.blob_spec).parameters.items()}
+                  in inspect.signature(datamod.generate_synthetic).parameters.items()}
 
 
 def _add_dataset_args(parser):
@@ -117,7 +117,7 @@ def parse_positive_int(text):
 
 
 def parse_synth_spec(text):
-    """blob_spec's keyword arguments from 'key=value,...'; unnamed keys
+    """generate_synthetic's keyword arguments from 'key=value,...'; unnamed keys
     keep their defaults."""
     out = dict(SYNTH_DEFAULTS)
     for item in text.split(","):
@@ -146,7 +146,7 @@ def load_dataset(args, standardize=True):
     are z-scored under --standardize unless standardize is false, as in
     eval, which never reads them."""
     if args.synth is not None:
-        dataset = datamod.generate_synthetic(datamod.blob_spec(**args.synth))
+        dataset = datamod.generate_synthetic(**args.synth)
         identity = {"synth": args.synth}
     else:
         table = datamod.load_csv(args.data, args.labels)

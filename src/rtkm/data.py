@@ -171,55 +171,24 @@ def to_dataset(table: LabeledTable, outlier_classes=frozenset()) -> Dataset:
     return Dataset(table.rows.T, inlier_labels.T, has_outlier & ~has_inlier)
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    """Gaussian blobs plus uniform-in-box outliers.
+def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation=10.0,
+                       box_scale=10.0, seed=0) -> Dataset:
+    """Seeded Gaussian blobs plus uniform outliers, with generator ground truth.
 
-    means is (k, m); spreads and points_per_cluster broadcast to length k;
-    the outlier box must strictly contain every cluster mean.
+    k clusters of `points` points each, with standard deviation spread
+    around means evenly spaced on a circle of radius separation in the
+    first two coordinates (on a line for dim=1), then `outliers` points
+    uniform in the box +/- max(separation*box_scale, 1), which must
+    strictly contain every mean.  Points come cluster by cluster, the
+    outliers last.
     """
-
-    means: np.ndarray
-    spreads: np.ndarray
-    points_per_cluster: np.ndarray
-    n_outliers: int
-    box_low: np.ndarray
-    box_high: np.ndarray
-    seed: int = 0
-
-    def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        k, m = means.shape
-        spreads = np.broadcast_to(np.asarray(self.spreads, dtype=float), (k,)).copy()
-        counts = np.broadcast_to(np.asarray(self.points_per_cluster, dtype=int), (k,)).copy()
-        low = np.broadcast_to(np.asarray(self.box_low, dtype=float), (m,)).copy()
-        high = np.broadcast_to(np.asarray(self.box_high, dtype=float), (m,)).copy()
-        if np.any(counts < 1):
-            raise DataError("points_per_cluster entries must be positive")
-        if self.n_outliers < 0:
-            raise DataError("n_outliers must be nonnegative")
-        if np.any(spreads < 0):
-            raise DataError("spreads must be nonnegative")
-        if np.any(means <= low) or np.any(means >= high):
-            raise DataError("outlier box must strictly contain every cluster mean")
-        for name, val in (("means", means), ("spreads", spreads),
-                          ("points_per_cluster", counts), ("box_low", low),
-                          ("box_high", high)):
-            object.__setattr__(self, name, val)
-
-    @property
-    def k(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.means.shape[1]
-
-
-def blob_spec(k=3, dim=2, points=50, outliers=2, spread=0.5, separation=10.0,
-              box_scale=10.0, seed=0) -> SynthSpec:
-    """Convenience spec: k cluster means evenly spaced on a circle of
-    radius separation (first two coordinates), box = +/- separation*box_scale."""
+    for name, value, low in (("k", k, 1), ("dim", dim, 1), ("points", points, 1),
+                             ("outliers", outliers, 0), ("seed", seed, 0),
+                             ("spread", spread, 0)):
+        if not value >= low:  # also refuses nan
+            raise DataError(f"synthetic {name} must be >= {low}, not {value!r}")
+    if not np.isfinite([spread, separation, box_scale]).all():
+        raise DataError("synthetic spread, separation and box_scale must be finite")
     means = np.zeros((k, dim))
     if dim == 1:
         means[:, 0] = np.linspace(-separation, separation, k)
@@ -228,26 +197,24 @@ def blob_spec(k=3, dim=2, points=50, outliers=2, spread=0.5, separation=10.0,
         means[:, 0] = separation * np.cos(angles)
         means[:, 1] = separation * np.sin(angles)
     half = max(separation * box_scale, 1.0)
-    return SynthSpec(means, spread, points, outliers, -half, half, seed=seed)
+    if np.any(np.abs(means) >= half):
+        raise DataError("outlier box must strictly contain every cluster mean")
 
-
-def generate_synthetic(spec: SynthSpec) -> Dataset:
-    """Seeded blobs-plus-outliers dataset with generator ground truth."""
-    rng = np.random.default_rng(spec.seed)
-    chunks = []
-    for j in range(spec.k):
-        pts = spec.means[j][:, None] + spec.spreads[j] * rng.standard_normal(
-            (spec.n_features, int(spec.points_per_cluster[j])))
-        chunks.append(pts)
-    if spec.n_outliers:
-        pts = rng.uniform(spec.box_low[:, None], spec.box_high[:, None],
-                          (spec.n_features, spec.n_outliers))
-        chunks.append(pts)
-    points = np.concatenate(chunks, axis=1)
-    # each point's cluster index; the outliers get k, which no truth row has
-    owner = np.repeat(np.arange(spec.k + 1),
-                      np.append(spec.points_per_cluster, spec.n_outliers))
-    return Dataset(points, owner == np.arange(spec.k)[:, None], owner == spec.k)
+    rng = np.random.default_rng(seed)
+    n = k * points + outliers
+    # one (k, dim, points) draw takes the same normals as k per-cluster draws;
+    # it is scaled, shifted and copied in place, so it and the output are the
+    # only arrays of the points' size
+    blobs = rng.standard_normal((k, dim, points))
+    blobs *= spread
+    blobs += means[:, :, None]
+    out = np.empty((dim, n))
+    out[:, :k * points].reshape(dim, k, points)[...] = blobs.transpose(1, 0, 2)
+    del blobs
+    out[:, k * points:] = rng.uniform(-half, half, (dim, outliers))
+    # each point's cluster index; the outliers get k or more, which no truth row has
+    owner = np.arange(n) // points
+    return Dataset(out, owner == np.arange(k)[:, None], owner >= k)
 
 
 def inject_noise(data: Dataset, count: int, seed=0) -> Dataset:

@@ -114,10 +114,14 @@ class SolverConfig:
             raise ConfigError("s must satisfy 1 <= s <= k")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError("alpha must lie in [0, 1)")
-        if self.step_d <= 1.0 or self.step_e <= 1.0:
-            raise ConfigError("step divisors must exceed 1")
+        if not (1.0 < self.step_d < np.inf and 1.0 < self.step_e < np.inf):  # refuses nan
+            raise ConfigError("step divisors must be finite and exceed 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be positive")
+        if not 0.0 <= self.tol < np.inf:
+            raise ConfigError("tol must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.init not in INIT_MODES:
             raise ConfigError(f"init must be one of {INIT_MODES}")
         if self.w_init not in W_INIT_MODES:
@@ -215,7 +219,7 @@ def _start_centers(data, config, initial_centers, rng):
 
 
 def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: int = 1):
-    """Extract final assignments from converged (W, v).
+    """Extract final assignments from converged (W, v) of the soft engine.
 
     Returns a (k, N) boolean assignment matrix and the (N,) outlier flags.
     s=1 assigns each point to its argmax cluster (ties to the lowest index);
@@ -237,21 +241,6 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
         assigned = w > SUPPORT_EPS
     assigned[:, flags] = False
     return assigned, flags
-
-
-def _fit_result(C, W, v, alpha, config, trace, iters, converged, reason):
-    assigned, flags = hard_assign(W, v, alpha, s=config.s)
-    return FitResult(
-        centers=C,
-        memberships=W,
-        inliers=v,
-        assignments=assigned,
-        outlier_flags=flags,
-        objective_trace=tuple(trace),
-        iterations=iters,
-        converged=converged,
-        stop_reason=reason,
-    )
 
 
 def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) -> FitResult:
@@ -293,21 +282,20 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
     reason = "max_iters"
     if converged:
         reason = "partition_stable" if trim else "assignments_stable"
-    return _fit_result(C, _one_hot(assign, k), (~trimmed).astype(float),
-                       config.alpha if trim else 0.0, config, trace, iters, converged, reason)
+    assigned = np.zeros((k, n), dtype=bool)
+    assigned[assign, cols] = True
+    W = assigned.astype(float)  # W keeps the trimmed points' clusters
+    assigned[:, trimmed] = False
+    return FitResult(C, W, (~trimmed).astype(float), assigned, trimmed, tuple(trace),
+                     iters, converged, reason)
 
 
-def _one_hot(assign, k):
-    W = np.zeros((k, assign.size))
-    W[assign, np.arange(assign.size)] = 1.0
-    return W
-
-
-def _initial_weights(G0, v0, config, rng):
-    k, n = G0.shape
+def _initial_weights(X, C0, v0, config, rng):
+    k, n = config.k, X.shape[1]
     s = float(config.s)
     if config.w_init == "random":
         return project_columns(rng.random((k, n)), s)
+    G0 = squared_distances(X, C0)
     if config.w_init == "hard":
         order = np.argsort(G0, axis=0, kind="stable")
         W = np.zeros((k, n))
@@ -334,8 +322,7 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
     rng = np.random.default_rng(config.seed)  # draws the centers, then W
     C = _start_centers(data, config, initial_centers, rng)
     v = np.full(n, inlier_mass / n)
-    G = squared_distances(X, C)
-    W = _initial_weights(G, v, config, rng)
+    W = _initial_weights(X, C, v, config, rng)
 
     trace = []
     prev_obj = None
@@ -361,7 +348,8 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
             break
         prev_obj = obj
 
-    return _fit_result(C, W, v, alpha, config, trace, iters, converged, reason)
+    assigned, flags = hard_assign(W, v, alpha, s=s)
+    return FitResult(C, W, v, assigned, flags, tuple(trace), iters, converged, reason)
 
 
 def fit_kmeans(data: Dataset, config: SolverConfig, initial_centers=None) -> FitResult:

@@ -257,6 +257,12 @@ def _eval_of(edit):
     return argv
 
 
+def _rtkm_fit(synth, *flags):
+    """argv factory: a one-cluster rtkm fit of --synth synth with flags."""
+    return lambda t: ["fit", "--algorithm", "rtkm", "--synth", synth, "--k", "1", *flags,
+                      "--out", str(t / "r.json")]
+
+
 def _edit_result(change):
     def edit(text):
         artifact = json.loads(text)
@@ -299,6 +305,18 @@ EXIT_CASES = {
                                           "--data", _csv(t, "0,0\n1,1\n"),
                                           "--labels", "col:-1", "--outlier-classes", "a",
                                           "--k", "1", "--out", str(t / "r.json")]),
+    "seed-negative": (2, _rtkm_fit(SMALL, "--seed", "-1")),
+    "step-d-nan": (2, _rtkm_fit(SMALL, "--step-d", "nan")),
+    "step-e-nan": (2, _rtkm_fit(SMALL, "--step-e", "nan", "--alpha", "0.1")),
+    "step-d-inf": (2, _rtkm_fit(SMALL, "--step-d", "inf")),
+    "tol-nan": (2, _rtkm_fit(SMALL, "--tol", "nan")),
+    "tol-negative": (2, _rtkm_fit(SMALL, "--tol", "-1")),
+    "synth-no-points": (3, _rtkm_fit("k=0,outliers=0")),
+    "synth-no-clusters": (3, _rtkm_fit("k=0")),
+    "synth-dim-zero": (3, _rtkm_fit("dim=0")),
+    "synth-k-negative": (3, _rtkm_fit("k=-1")),
+    "synth-seed-negative": (3, _rtkm_fit("seed=-1")),
+    "synth-spread-nan": (3, _rtkm_fit("spread=nan")),
     "missing-file": (3, lambda t: ["fit", "--algorithm", "kmeans", "--data",
                                    str(t / "nope.csv"), "--k", "2",
                                    "--out", str(t / "r.json")]),

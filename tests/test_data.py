@@ -4,8 +4,6 @@ import pytest
 from rtkm.data import (
     DataError,
     LabeledTable,
-    SynthSpec,
-    blob_spec,
     generate_synthetic,
     inject_noise,
     load_csv,
@@ -161,29 +159,28 @@ def test_labeled_table_rejects_non_boolean_labels():
 # --- synthetic generation -----------------------------------------------
 
 def test_generate_counts():
-    ds = generate_synthetic(blob_spec(k=3, points=50, outliers=2, seed=0))
+    ds = generate_synthetic(k=3, points=50, outliers=2, seed=0)
     assert ds.n_points == 152
     assert ds.truth_outliers.sum() == 2
 
 
 def test_generate_zero_spread():
-    spec = blob_spec(k=2, points=5, outliers=0, spread=0.0, seed=1)
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(k=2, points=5, outliers=0, spread=0.0, seed=1)
+    means = 10.0 * np.array([[1.0, 0.0], [np.cos(np.pi), np.sin(np.pi)]])
     for j in range(2):
         block = ds.points[:, 5 * j:5 * (j + 1)]
-        np.testing.assert_array_equal(block, np.tile(spec.means[j][:, None], 5))
+        np.testing.assert_array_equal(block, np.tile(means[j][:, None], 5))
 
 
 def test_generate_deterministic():
-    a = generate_synthetic(blob_spec(seed=7))
-    b = generate_synthetic(blob_spec(seed=7))
+    a = generate_synthetic(seed=7)
+    b = generate_synthetic(seed=7)
     np.testing.assert_array_equal(a.points, b.points)
     np.testing.assert_array_equal(a.truth_memberships, b.truth_memberships)
 
 
 def test_generate_label_consistency():
-    spec = blob_spec(k=4, points=10, outliers=3, seed=3)
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(k=4, points=10, outliers=3, seed=3)
     assert ds.truth_memberships.shape == (4, 43)
     for i, labels in enumerate(ds.truth_memberships.T):
         if ds.truth_outliers[i]:
@@ -194,15 +191,15 @@ def test_generate_label_consistency():
 
 def test_spec_validation():
     with pytest.raises(DataError):
-        SynthSpec(np.zeros((2, 2)), 1.0, 0, 0, -1.0, 1.0)  # zero points
-    with pytest.raises(DataError):
-        SynthSpec(np.array([[5.0, 0.0]]), 1.0, 5, 1, -1.0, 1.0)  # mean outside box
+        generate_synthetic(points=0)
+    with pytest.raises(DataError, match="strictly contain"):
+        generate_synthetic(separation=10.0, box_scale=0.05)  # box +/- 1, means at 10
 
 
 # --- inject_noise -------------------------------------------------------
 
 def test_inject_noise_counts_and_flags():
-    ds = generate_synthetic(blob_spec(k=2, points=10, outliers=0, seed=0))
+    ds = generate_synthetic(k=2, points=10, outliers=0, seed=0)
     noisy = inject_noise(ds, 5, seed=1)
     assert noisy.n_points == 25
     assert noisy.truth_outliers.sum() == 5
@@ -213,7 +210,7 @@ def test_inject_noise_counts_and_flags():
 
 
 def test_inject_noise_in_bounding_box():
-    ds = generate_synthetic(blob_spec(k=2, points=20, outliers=0, seed=2))
+    ds = generate_synthetic(k=2, points=20, outliers=0, seed=2)
     noisy = inject_noise(ds, 50, seed=3)
     low = ds.points.min(axis=1)
     high = ds.points.max(axis=1)
@@ -222,7 +219,7 @@ def test_inject_noise_in_bounding_box():
 
 
 def test_inject_noise_zero_count_identity():
-    ds = generate_synthetic(blob_spec(seed=4))
+    ds = generate_synthetic(seed=4)
     assert inject_noise(ds, 0) is ds
 
 

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtkm import ALGORITHMS, SolverConfig, blob_spec, generate_synthetic
+from rtkm import ALGORITHMS, SolverConfig, generate_synthetic
 
 PINNED = json.loads((Path(__file__).parent / "pinned_fits.json").read_text())
 
-# name -> (blob_spec kwargs, SolverConfig kwargs per algorithm).  kmeans and
+# name -> (generate_synthetic kwargs, SolverConfig kwargs per algorithm).  kmeans and
 # trimmed accept only s=1, so on the s=2 spec they run with s=1.
 CASES = {
     "s1_outliers": (
@@ -41,7 +41,7 @@ CASES = {
 
 def run_case(case, algorithm):
     spec, configs = CASES[case]
-    data = generate_synthetic(blob_spec(**spec))
+    data = generate_synthetic(**spec)
     result = ALGORITHMS[algorithm](data, SolverConfig(**configs[algorithm]))
     return {
         "iterations": result.iterations,
