@@ -199,6 +199,8 @@ def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation
     half = max(separation * box_scale, 1.0)
     if np.any(np.abs(means) >= half):
         raise DataError("outlier box must strictly contain every cluster mean")
+    if not np.isfinite(2.0 * half):  # the uniform draw needs a finite width
+        raise DataError("synthetic outlier box overflows; lower separation or box_scale")
 
     rng = np.random.default_rng(seed)
     n = k * points + outliers
@@ -206,8 +208,11 @@ def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation
     # it is scaled, shifted and copied in place, so it and the output are the
     # only arrays of the points' size
     blobs = rng.standard_normal((k, dim, points))
-    blobs *= spread
-    blobs += means[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below as a data error
+        blobs *= spread
+        blobs += means[:, :, None]
+    if not np.isfinite(blobs).all():
+        raise DataError("synthetic points overflow; lower spread or separation")
     out = np.empty((dim, n))
     out[:, :k * points].reshape(dim, k, points)[...] = blobs.transpose(1, 0, 2)
     del blobs

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .geometry import project_columns, project_mass
 
@@ -154,15 +153,76 @@ class FitResult:
         return tuple(map(frozenset, self.label_lists()))
 
 
-def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _centred(points):
+    """points about their column mean: (mean, centred points, squared norms
+    of the centred columns)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught later
+        mean = points.mean(axis=1, keepdims=True)
+        centred = points - mean
+        return mean, centred, np.einsum("ij,ij->j", centred, centred)
+
+
+def squared_distances(points: np.ndarray, centers: np.ndarray, norms=None,
+                      out=None) -> np.ndarray:
     """(k, N) matrix of squared Euclidean distances ||x_i - c_j||^2.
 
-    Raises FloatingPointError when a distance overflows to a non-finite value.
+    Computed as ||x_i||^2 - 2 c_j.x_i + ||c_j||^2 with one matrix product.
+    That expansion cancels when the points lie far from the origin relative
+    to their spread, so without norms the points and centers are first
+    moved by the points' mean.  Passing norms, the squared column norms of
+    points, says that the caller has already done so (as each fit does
+    once).  An entry within the expansion's rounding error of 0, (m+2) ulps
+    of the norms, is 0: a center that equals a point is at distance exactly
+    0, and no entry is negative.  out, a C-contiguous (k, N) float array,
+    receives the matrix.
+
+    Raises FloatingPointError when a distance overflows to a non-finite
+    value.
     """
-    d2 = cdist(centers.T, points.T, metric="sqeuclidean")
-    if not np.isfinite(d2).all():
-        raise FloatingPointError("squared distances overflow; rescale the data")
+    if norms is None:
+        mean, points, norms = _centred(np.asarray(points, dtype=float))
+        centers = np.asarray(centers, dtype=float) - mean
+    elif np.shape(norms) != points.shape[1:]:
+        raise ValueError("norms must hold one value per point")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        d2 = np.matmul(centers.T * -2.0, points, out=out)
+        d2 += norms
+        center_norms = np.einsum("ij,ij->j", centers, centers)
+        d2 += center_norms[:, None]
+        if not d2.size:  # no centers or no points
+            return d2
+        lowest = d2.min()
+        if not (np.isfinite(lowest) and np.isfinite(d2.max())):
+            raise FloatingPointError("squared distances overflow; rescale the data")
+        # The norms and the product each carry at most m rounding errors of
+        # the size of the norms, so below this floor an entry cannot be told
+        # from 0.  Most matrices have no entry below it and skip the pass.
+        ulps = (points.shape[0] + 2) * np.finfo(float).eps
+        if lowest <= ulps * (norms.max() + center_norms.max()):
+            np.copyto(d2, 0.0, where=d2 <= ulps * (norms + center_norms.max()))
     return d2
+
+
+def _distances_to(points, out):
+    """The function of the centers that writes their squared distances to
+    points into out, with points centred and their norms taken once."""
+    mean, centred, norms = _centred(points)
+    return lambda centers: squared_distances(centred, centers - mean, norms, out)
+
+
+def _first_extreme(matrix, extreme):
+    """Each column's extreme entry (extreme is np.minimum or np.maximum)
+    and the lowest row index that holds it, as argmin or argmax over axis 0
+    gives for finite entries, without their transposed copy of the matrix."""
+    best = extreme.reduce(matrix, axis=0)
+    index = np.zeros(matrix.shape[1], dtype=np.intp)
+    searching = np.ones(matrix.shape[1], dtype=bool)  # no row so far holds best
+    differs = np.empty_like(searching)
+    for row in matrix[:-1]:
+        np.not_equal(row, best, out=differs)
+        searching &= differs
+        index += searching
+    return index, best
 
 
 def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
@@ -203,7 +263,8 @@ def _start_centers(data, config, initial_centers, rng):
         return X[:, idx].copy()
     # kmeans++
     idx = [int(rng.integers(n))]
-    d2 = ((X - X[:, idx[0]][:, None]) ** 2).sum(axis=0)
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        d2 = ((X - X[:, idx[0]][:, None]) ** 2).sum(axis=0)
     for _ in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -214,7 +275,8 @@ def _start_centers(data, config, initial_centers, rng):
         else:
             nxt = int(rng.choice(n, p=d2 / total))
         idx.append(nxt)
-        d2 = np.minimum(d2, ((X - X[:, nxt][:, None]) ** 2).sum(axis=0))
+        with np.errstate(over="ignore"):
+            d2 = np.minimum(d2, ((X - X[:, nxt][:, None]) ** 2).sum(axis=0))
     return X[:, idx].copy()
 
 
@@ -222,7 +284,8 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
     """Extract final assignments from converged (W, v) of the soft engine.
 
     Returns a (k, N) boolean assignment matrix and the (N,) outlier flags.
-    s=1 assigns each point to its argmax cluster (ties to the lowest index);
+    s=1 assigns each point to its cluster of largest weight (ties to the
+    lowest index; the weights must be finite);
     s>1 to every cluster with weight above SUPPORT_EPS.  The [alpha*N]
     points of smallest v (ties to the lowest index) are flagged as outliers
     and assigned to no cluster.
@@ -236,7 +299,7 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
         flags[np.argsort(v, kind="stable")[:n_out]] = True
     if s == 1:
         assigned = np.zeros((k, n), dtype=bool)
-        assigned[w.argmax(axis=0), np.arange(n)] = True
+        assigned[_first_extreme(w, np.maximum)[0], np.arange(n)] = True
     else:
         assigned = w > SUPPORT_EPS
     assigned[:, flags] = False
@@ -253,10 +316,10 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
     n, k = data.n_points, config.k
     cols = np.arange(n)
     C = _start_centers(data, config, initial_centers, np.random.default_rng(config.seed))
-    d2 = squared_distances(X, C)
-    assign = d2.argmin(axis=0)
+    distances = _distances_to(X, np.empty((k, n)))
+    assign, nearest = _first_extreme(distances(C), np.minimum)
     trimmed = np.zeros(n, dtype=bool)
-    trace = [float(d2[assign, cols].sum())]
+    trace = [float(nearest.sum())]
     iters = 0
     phases = (0, trim_count(config.alpha, n)) if trim else (0,)
     for n_trim in phases:
@@ -264,16 +327,15 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
         for _ in range(config.max_iters):
             iters += 1
             new_trimmed = np.zeros(n, dtype=bool)
-            if n_trim > 0:  # d2 holds the distances to the current centers
-                new_trimmed[np.argsort(-d2[assign, cols], kind="stable")[:n_trim]] = True
+            if n_trim > 0:  # nearest holds the distances to the current centers
+                new_trimmed[np.argsort(-nearest, kind="stable")[:n_trim]] = True
             for j in range(k):
                 members = (assign == j) & ~new_trimmed
                 if members.any():
                     C[:, j] = X[:, members].mean(axis=1)
                 # empty cluster: keep the previous center
-            d2 = squared_distances(X, C)
-            new_assign = d2.argmin(axis=0)
-            trace.append(float(d2[new_assign, cols][~new_trimmed].sum()))
+            new_assign, nearest = _first_extreme(distances(C), np.minimum)
+            trace.append(float(nearest[~new_trimmed].sum()))
             converged = (np.array_equal(new_assign, assign)
                          and np.array_equal(new_trimmed, trimmed))
             assign, trimmed = new_assign, new_trimmed
@@ -290,12 +352,12 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
                      iters, converged, reason)
 
 
-def _initial_weights(X, C0, v0, config, rng):
-    k, n = config.k, X.shape[1]
+def _initial_weights(distances, C0, v0, config, rng):
+    k, n = config.k, v0.size
     s = float(config.s)
     if config.w_init == "random":
         return project_columns(rng.random((k, n)), s)
-    G0 = squared_distances(X, C0)
+    G0 = distances(C0)
     if config.w_init == "hard":
         order = np.argsort(G0, axis=0, kind="stable")
         W = np.zeros((k, n))
@@ -312,7 +374,7 @@ def _initial_weights(X, C0, v0, config, rng):
 def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=None) -> FitResult:
     """The soft engine: proximal block updates of the centers, W and v."""
     X = data.points
-    n = data.n_points
+    n, k = data.n_points, config.k
     s = config.s
     n_out = trim_count(alpha, n)
     if n_out >= n:
@@ -322,7 +384,9 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
     rng = np.random.default_rng(config.seed)  # draws the centers, then W
     C = _start_centers(data, config, initial_centers, rng)
     v = np.full(n, inlier_mass / n)
-    W = _initial_weights(X, C, v, config, rng)
+    distances = _distances_to(X, np.empty((k, n)))  # the buffer G lives in
+    W = _initial_weights(distances, C, v, config, rng)
+    work = np.empty((k, n))  # each (k, N) temporary of an iteration in turn
 
     trace = []
     prev_obj = None
@@ -330,14 +394,18 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
     reason = "max_iters"
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        vw = v[None, :] * W
+        vw = np.multiply(v, W, out=work)
         den = vw.sum(axis=1)
         num = X @ vw.T
         ok = den > 0.0
         C = np.where(ok[None, :], num / np.where(ok, den, 1.0)[None, :], C)
-        G = squared_distances(X, C)
-        W = project_columns(W - (v[None, :] * G) / config.step_d, float(s))
-        per_point = (W * G).sum(axis=0)
+        G = distances(C)
+        step = np.multiply(v, G, out=work)
+        step /= config.step_d
+        np.subtract(W, step, out=work)
+        del W  # freed before the projection allocates its output
+        W = project_columns(work, float(s))
+        per_point = np.multiply(W, G, out=work).sum(axis=0)
         if n_out > 0:
             v = project_mass(v - per_point / config.step_e, float(inlier_mass))
         obj = float((v * per_point).sum())

@@ -317,6 +317,8 @@ EXIT_CASES = {
     "synth-k-negative": (3, _rtkm_fit("k=-1")),
     "synth-seed-negative": (3, _rtkm_fit("seed=-1")),
     "synth-spread-nan": (3, _rtkm_fit("spread=nan")),
+    "synth-spread-overflow": (3, _rtkm_fit("spread=1e308")),
+    "synth-box-overflow": (3, _rtkm_fit("separation=1e308")),
     "missing-file": (3, lambda t: ["fit", "--algorithm", "kmeans", "--data",
                                    str(t / "nope.csv"), "--k", "2",
                                    "--out", str(t / "r.json")]),

@@ -1,9 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from rtkm import (
     ALGORITHMS,
@@ -19,7 +21,7 @@ from rtkm import (
     objective_rtkm,
     trim_count,
 )
-from rtkm.solver import INIT_MODES, SUPPORT_EPS
+from rtkm.solver import INIT_MODES, SUPPORT_EPS, _first_extreme, squared_distances
 
 from conftest import make_blobs_with_outliers
 
@@ -80,6 +82,105 @@ def test_objective_dimension_mismatch():
     ds = Dataset([[0.0, 1.0]])
     with pytest.raises(ConfigError):
         objective_rtkm(ds, [[0.0]], [[1.0]], np.ones(2))
+
+
+# --- squared distances --------------------------------------------------
+
+@st.composite
+def _distance_inputs(draw):
+    """Points at a drawn scale and offset, and centers of which some are
+    copies of points.  Returns (points, centers, indices of the copied
+    points, -1 for a drawn center)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n, k = draw(st.integers(1, 64)), draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    offset = draw(st.sampled_from([0.0, 1e6])) * rng.choice([-1.0, 1.0], (m, 1))
+    points = offset + scale * rng.standard_normal((m, n))
+    centers = offset + scale * rng.standard_normal((m, k))
+    copied = np.where(rng.random(k) < 0.5, rng.integers(0, n, k), -1)
+    centers[:, copied >= 0] = points[:, copied[copied >= 0]]
+    return points, centers, copied
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distance_inputs())
+def test_squared_distances_properties(inputs):
+    """The product form matches cdist to 1e-12 of the largest distance, also
+    for points 1e6 from the origin, is never negative, and is exactly 0
+    where a center is a copy of a point.  Given the norms of centred points
+    it writes the same matrix into out."""
+    points, centers, copied = inputs
+    d2 = squared_distances(points, centers)
+    want = cdist(centers.T, points.T, metric="sqeuclidean")
+    assert d2.shape == want.shape
+    np.testing.assert_allclose(d2, want, rtol=0, atol=1e-12 * want.max())
+    assert d2.min() >= 0.0
+    rows = np.flatnonzero(copied >= 0)
+    assert (d2[rows, copied[rows]] == 0.0).all()
+    mean = points.mean(axis=1, keepdims=True)
+    centred = points - mean
+    out = np.empty_like(d2)
+    got = squared_distances(centred, centers - mean, (centred ** 2).sum(axis=0), out)
+    assert got is out
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+
+
+def test_squared_distances_to_no_centers_is_empty():
+    assert squared_distances(np.ones((2, 3)), np.zeros((2, 0))).shape == (0, 3)
+    ds = Dataset(np.arange(6.0).reshape(2, 3))
+    assert objective_rtkm(ds, np.zeros((2, 0)), np.zeros((0, 3)), np.ones(3)) == 0.0
+
+
+def test_squared_distances_checks_norms_shape():
+    with pytest.raises(ValueError, match="norms"):
+        squared_distances(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2))
+
+
+@pytest.mark.parametrize("fit", [fit_kmeans, fit_trimmed_kmeans, fit_rtkm])
+def test_fit_far_from_origin_keeps_distances_accurate(fit):
+    """A fit of points 1e6 from the origin reports the objective of its
+    output to 1e-9.  The product form without centring misses it by 2e-7 to
+    8e-5 here."""
+    ds = Dataset(make_blobs_with_outliers().points + 1e6)
+    res = fit(ds, SolverConfig(k=3, alpha=2 / 152, seed=0))
+    direct = ((ds.points[:, None, :] - res.centers[:, :, None]) ** 2).sum(axis=0)
+    want = float((res.inliers * (res.memberships * direct).sum(axis=0)).sum())
+    assert res.objective_trace[-1] == pytest.approx(want, rel=1e-9)
+
+
+OVERFLOWING = Dataset([[1e200, 2.0, 3.0, -1e200, 5.0]])
+
+
+def test_squared_distances_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            squared_distances(OVERFLOWING.points, OVERFLOWING.points[:, :2])
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("init", INIT_MODES)
+def test_fit_overflow_raises_without_warning(name, init):
+    """The only signal of an overflow is the FloatingPointError."""
+    config = SolverConfig(k=2, alpha=0.2 if name in ("rtkm", "trimmed") else 0.0, init=init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            ALGORITHMS[name](OVERFLOWING, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_first_extreme_matches_argmin_and_argmax(k, n, seed):
+    """Ties go to the lowest row, as with argmin and argmax: the entries are
+    drawn from a few integers and signed zeros, so most columns tie."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], (k, n))
+    cols = np.arange(n)
+    for extreme, arg in ((np.minimum, np.argmin), (np.maximum, np.argmax)):
+        index, best = _first_extreme(matrix, extreme)
+        np.testing.assert_array_equal(index, arg(matrix, axis=0))
+        np.testing.assert_array_equal(best, matrix[index, cols])
 
 
 # --- trim_count ---------------------------------------------------------
