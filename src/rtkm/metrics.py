@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .solver import as_boolean
 
@@ -73,8 +72,71 @@ def average_f1(predicted: Clustering, truth: Clustering) -> float:
     tp = pred.astype(float) @ true.T.astype(float)
     sizes = pred.sum(axis=1)[:, None] + true.sum(axis=1)[None, :]
     scores = np.where(sizes == 0, 1.0, 2.0 * tp / np.maximum(sizes, 1))
-    rows, cols = linear_sum_assignment(scores, maximize=True)
+    rows, cols = _max_weight_matching(scores)
     return float(scores[rows, cols].sum() / true.shape[0])
+
+
+def _max_weight_matching(scores):
+    """Rows and columns of a maximum-weight one-to-one matching of the rows
+    to the columns of a finite (r, c) matrix: min(r, c) pairs, rows ascending.
+
+    Shortest augmenting paths with dual potentials: the Jonker-Volgenant
+    variant in D. F. Crouse, "On implementing 2D rectangular assignment
+    algorithms", IEEE Trans. Aerosp. Electron. Syst. 52(4), 2016, on the
+    negated matrix, transposed so that rows <= columns.  Each row joins the
+    matching along a shortest path of reduced costs to a free column
+    (Dijkstra over the columns), after which the potentials u, v are moved
+    so that every reduced cost stays >= 0 and is 0 on matched pairs.  The
+    column order of the scan, the swap-with-last removal and the tie rule
+    (among columns at the least distance, the last free one, else the
+    first) are those of scipy's linear_sum_assignment, so the two return
+    the same pairs.
+    """
+    transpose = scores.shape[1] < scores.shape[0]
+    cost = -(scores.T if transpose else scores)
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    path = np.full(n_cols, -1)
+    col4row, row4col = np.full(n_rows, -1), np.full(n_cols, -1)
+    for row in range(n_rows):
+        dist = np.full(n_cols, np.inf)
+        scanned_rows = np.zeros(n_rows, dtype=bool)
+        remaining = np.arange(n_cols - 1, -1, -1)
+        lowest, i = 0.0, row
+        while True:
+            scanned_rows[i] = True
+            reduced = lowest + cost[i, remaining] - u[i] - v[remaining]
+            shorter = reduced < dist[remaining]
+            path[remaining[shorter]] = i
+            dist[remaining[shorter]] = reduced[shorter]
+            left = dist[remaining]
+            lowest = left.min()
+            ties = np.flatnonzero(left == lowest)
+            free = ties[row4col[remaining[ties]] < 0]
+            index = free[-1] if free.size else ties[0]
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining = remaining[:-1]
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        scanned_cols = np.ones(n_cols, dtype=bool)
+        scanned_cols[remaining] = False
+        u[row] += lowest
+        others = np.flatnonzero(scanned_rows)
+        others = others[others != row]
+        u[others] += lowest - dist[col4row[others]]
+        v[scanned_cols] -= lowest - dist[scanned_cols]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    if not transpose:
+        return np.arange(n_rows), col4row
+    order = np.argsort(col4row)
+    return col4row[order], order
 
 
 def me_score(predicted_flags, truth_flags) -> float:

@@ -54,18 +54,19 @@ def dataset_path(env_var, default_name):
 
 
 def test_criterion_1_projection_oracle():
-    started = time.perf_counter()
+    # the bound is on the 1000 projections; the grid oracle is not timed
     rng = np.random.default_rng(20240401)
-    worst = 0.0
+    worst = elapsed = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 5))
         s = float(rng.integers(1, n + 1))
         y = rng.normal(0, 2, n)
+        started = time.perf_counter()
         w = project_mass(y, s)
+        elapsed += time.perf_counter() - started
         w_oracle = grid_projection_oracle(y, s)
         worst = max(worst, float(np.abs(w - w_oracle).max()))
-    elapsed = time.perf_counter() - started
-    report(1, f"projection matches grid oracle (max err {worst:.2e}, {elapsed:.1f}s)",
+    report(1, f"projection matches grid oracle (max err {worst:.2e}, {elapsed:.3f}s)",
            worst <= 1e-6 and elapsed < 10.0)
 
 

@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -151,6 +153,57 @@ def test_traced_benchmark_targets_resolve():
     for layer, (module, names) in layers.LAYER_TARGETS.items():
         for name in names:
             assert callable(getattr(sys.modules[module], name, None)), (layer, module, name)
+
+
+def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter that imports rtkm from this
+    checkout's src, and return its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_scipy():
+    loaded = run_fresh("import sys, rtkm.cli; print(sorted(m for m in sys.modules "
+                       "if m == 'scipy' or m.startswith('scipy.')))")
+    assert loaded.strip() == "[]"
+
+
+def cli_commands(out_dir):
+    """fit, eval and sweep on a small --synth spec, writing into out_dir."""
+    fit_out = os.path.join(out_dir, "fit.json")
+    return [
+        ["fit", "--algorithm", "rtkm", "--synth", SYNTH, "--k", "3",
+         "--alpha", "0.013", "--seed", "3", "--out", fit_out],
+        ["eval", "--result", fit_out, "--synth", SYNTH,
+         "--out", os.path.join(out_dir, "eval.json")],
+        ["sweep", "--algorithm", "rtkm", "--synth", SYNTH, "--k", "3",
+         "--alpha-grid", "0,0.013", "--restarts", "2", "--seed", "1",
+         "--out", os.path.join(out_dir, "sweep.csv")],
+    ]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """With every import of scipy failing, fit, eval and sweep write the
+    same bytes as a normal run."""
+    blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+    blocked.mkdir()
+    normal.mkdir()
+    run_fresh(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # import scipy and scipy.* now raise\n"
+        "from rtkm.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n",
+        json.dumps(cli_commands(str(blocked))))
+    for argv in cli_commands(str(normal)):
+        assert run(argv) == 0
+    for name in ("fit.json", "eval.json", "sweep.csv"):
+        assert (blocked / name).read_bytes() == (normal / name).read_bytes(), name
 
 
 def test_csv_pipeline(tmp_path):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from rtkm.metrics import (
     Clustering,
     MetricError,
+    _max_weight_matching,
     average_f1,
     clustering_from_result,
     me_score,
@@ -110,6 +112,40 @@ def test_average_f1_matches_exhaustive_search():
         want = exhaustive_average_f1(pred, truth)
         assert got == pytest.approx(want, abs=1e-12)
         assert 0.0 <= got <= 1.0
+
+
+@st.composite
+def _score_matrices(draw):
+    """Random, quarter-valued, or F1 scores of random clusterings of a few
+    points (zeros, ones and many equal entries), of 0x0 to 60x60."""
+    rows, cols = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["random", "quarters", "f1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.random((rows, cols))
+    if kind == "quarters":
+        return rng.integers(0, 5, (rows, cols)) / 4
+    n_points = int(rng.integers(0, 12))
+    pred = rng.random((rows, n_points)) < rng.random()
+    true = rng.random((cols, n_points)) < rng.random()
+    tp = pred.astype(float) @ true.T.astype(float)
+    sizes = pred.sum(axis=1)[:, None] + true.sum(axis=1)[None, :]
+    return np.where(sizes == 0, 1.0, 2.0 * tp / np.maximum(sizes, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_score_matrices())
+def test_max_weight_matching_matches_scipy(scores):
+    rows, cols = _max_weight_matching(scores)
+    pairs = min(scores.shape)
+    assert len(rows) == len(cols) == pairs
+    assert np.array_equal(rows, np.sort(rows)) and len(set(rows.tolist())) == pairs
+    assert len(set(cols.tolist())) == pairs
+    want_rows, want_cols = linear_sum_assignment(scores, maximize=True)
+    assert scores[rows, cols].sum() == scores[want_rows, want_cols].sum()
+    # same scan order and tie rule as scipy, so the same pairs
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(cols, want_cols)
 
 
 def test_average_f1_overlapping_memberships():
