@@ -9,6 +9,7 @@ it never perturbs the artifact.
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
@@ -141,25 +142,37 @@ def parse_labels(text):
     return text
 
 
-def load_dataset(args, standardize=True):
-    """Resolve the dataset flags into (Dataset, identity dict).  The points
-    are z-scored under --standardize unless standardize is false, as in
-    eval, which never reads them."""
+def load_dataset(args):
+    """Resolve the dataset flags into (Dataset, identity dict), with the
+    points z-scored under --standardize."""
     if args.synth is not None:
         dataset = datamod.generate_synthetic(**args.synth)
         identity = {"synth": args.synth}
     else:
-        table = datamod.load_csv(args.data, args.labels)
-        outlier_classes = args.outlier_classes or frozenset()
-        dataset = datamod.to_dataset(table, outlier_classes)
-        with open(args.data, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        identity = {"path": args.data, "sha256": digest,
-                    "labels": args.labels,
-                    "outlier_classes": sorted(outlier_classes)}
-    if standardize and args.standardize:
+        dataset, identity = _load_csv_dataset(args)
+    if args.standardize:
         dataset = datamod.standardize(dataset)
     return dataset, identity
+
+
+def _load_csv_dataset(args):
+    table = datamod.load_csv(args.data, args.labels)
+    outlier_classes = args.outlier_classes or frozenset()
+    dataset = datamod.to_dataset(table, outlier_classes)
+    with open(args.data, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return dataset, {"path": args.data, "sha256": digest, "labels": args.labels,
+                     "outlier_classes": sorted(outlier_classes)}
+
+
+def load_truth(args):
+    """eval's view of the dataset flags: (truth memberships, truth outlier
+    flags, identity dict).  eval reads no point, so a --synth spec draws
+    none and --standardize changes nothing."""
+    if args.synth is not None:
+        return (*datamod.synthetic_truth(**args.synth), {"synth": args.synth})
+    dataset, identity = _load_csv_dataset(args)
+    return dataset.truth_memberships, dataset.truth_outliers, identity
 
 
 def make_config(args, **overrides):
@@ -169,19 +182,17 @@ def make_config(args, **overrides):
     return SolverConfig(**flags, **overrides)
 
 
-def has_outlier_truth(dataset):
-    """Whether the truth flags some but not all points as outliers, the
+def has_outlier_truth(flags):
+    """Whether the truth outlier flags mark some but not all points, the
     case in which M_e is defined."""
-    flags = dataset.truth_outliers
-    return flags is not None and 0 < flags.sum() < dataset.n_points
+    return flags is not None and 0 < flags.sum() < flags.size
 
 
-def truth_clustering(dataset):
+def truth_clustering(memberships, outliers):
     """The truth clusters are the labels in use; an empty class is none."""
-    truth = dataset.truth_memberships
-    if truth is None:
+    if memberships is None:
         raise datamod.DataError("dataset carries no ground-truth memberships")
-    return Clustering(truth[truth.any(axis=1)], dataset.truth_outliers)
+    return Clustering(memberships[memberships.any(axis=1)], outliers)
 
 
 def _write_json(obj, path):
@@ -236,8 +247,8 @@ def _stats(values):
 
 def cmd_sweep(args):
     dataset, identity = load_dataset(args)
-    truth = truth_clustering(dataset)
-    score_outliers = has_outlier_truth(dataset)
+    truth = truth_clustering(dataset.truth_memberships, dataset.truth_outliers)
+    score_outliers = has_outlier_truth(dataset.truth_outliers)
 
     rows = []
     fatal = failure = None
@@ -272,6 +283,10 @@ def cmd_sweep(args):
 def read_result(path, n_points):
     """Load a fit artifact's result and check it against a dataset of
     n_points points.  Returns (k, hard_assignments, outlier_flags)."""
+    # The decoded document holds no reference cycle, so a collection while
+    # its N label lists pile up could free nothing; each would rescan them.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
             res = json.load(fh)["result"]
@@ -283,14 +298,20 @@ def read_result(path, n_points):
         raise datamod.DataError(f"{path}: fit artifact has no field {exc}") from None
     except TypeError:
         raise datamod.DataError(f"{path}: not a fit artifact") from None
+    finally:
+        if collecting:
+            gc.enable()
+    if type(n) is not int:
+        raise datamod.DataError(f"{path}: n_points must be an integer, not {n!r}")
     if n != n_points:
         raise datamod.DataError(f"result has {n} points but dataset has {n_points}")
     if type(k) is not int or not 1 <= k <= n_points:  # fits need k <= N
         raise datamod.DataError(f"{path}: k must be an integer in [1, {n_points}], not {k!r}")
     if not isinstance(hard, list) or len(hard) != n_points:
         raise datamod.DataError(f"{path}: hard_assignments must list {n_points} label lists")
-    index = np.asarray(outliers)
+    index = np.asarray(outliers)  # true and false among integers give integers
     if index.size and (index.ndim != 1 or index.dtype.kind not in "iu"
+                       or bool in set(map(type, outliers))
                        or index.min() < 0 or index.max() >= n_points):
         raise datamod.DataError(
             f"{path}: outlier_indices must be integers in [0, {n_points})")
@@ -300,16 +321,16 @@ def read_result(path, n_points):
 
 
 def cmd_eval(args):
-    dataset, identity = load_dataset(args, standardize=False)
-    truth = truth_clustering(dataset)
-    k, hard, flags = read_result(args.result, dataset.n_points)
+    memberships, truth_outliers, identity = load_truth(args)
+    truth = truth_clustering(memberships, truth_outliers)
+    k, hard, flags = read_result(args.result, truth_outliers.size)
     try:
         predicted = clustering_from_result(hard, k, flags)
     except MetricError as exc:
         raise datamod.DataError(f"{args.result}: {exc}") from None
     metrics = {"average_f1": average_f1(predicted, truth)}
-    if has_outlier_truth(dataset):
-        metrics["me_score"] = me_score(flags, dataset.truth_outliers)
+    if has_outlier_truth(truth_outliers):
+        metrics["me_score"] = me_score(flags, truth_outliers)
     _write_json({"dataset": identity, "metrics": metrics}, args.out)
     return 0
 

@@ -4,6 +4,7 @@ noise injection."""
 import csv
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -90,29 +91,23 @@ def load_csv(path, label_spec=None) -> LabeledTable:
             raise DataError(f"{path}: no data rows after header")
 
     width = len(raw[0][1])
-    rows, linenos = [], []
-    for lineno, cells in raw:
-        if len(cells) != width:
-            raise DataError(f"{path}: row {lineno} has {len(cells)} fields, expected {width}")
-        values = []
-        for col, cell in enumerate(cells):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {lineno}, column {col}: non-numeric value {cell.strip()!r}"
-                ) from None
-        rows.append(values)
-        linenos.append(lineno)
-    table = np.array(rows)
+    if any(len(cells) != width for _, cells in raw):
+        raise _row_error(path, raw, width)
+    # every cell goes through float(), as in the row-by-row loop of _row_error
+    cells = chain.from_iterable(row for _, row in raw)
+    try:
+        table = np.fromiter(map(float, cells), dtype=float, count=len(raw) * width)
+    except ValueError:
+        raise _row_error(path, raw, width) from None
+    table = table.reshape(len(raw), width)
     bad = ~np.isfinite(table)
     if bad.any():
         r, c = np.argwhere(bad)[0]
-        raise DataError(f"{path}: row {linenos[r]}, column {c}: "
+        raise DataError(f"{path}: row {raw[r][0]}, column {c}: "
                         f"non-finite value {float(table[r, c])!r}")
 
     if label_spec is None:
-        return LabeledTable(table, np.zeros((len(rows), 0), dtype=bool))
+        return LabeledTable(table, np.zeros((len(raw), 0), dtype=bool))
 
     kind, arg = label_spec
     if kind == "col":
@@ -131,8 +126,22 @@ def load_csv(path, label_spec=None) -> LabeledTable:
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise DataError(
-            f"{path}: row {linenos[r]}: indicator column value {float(block[r, c])} is not 0/1")
+            f"{path}: row {raw[r][0]}: indicator column value {float(block[r, c])} is not 0/1")
     return LabeledTable(np.ascontiguousarray(table[:, : width - arg]), block == 1.0)
+
+
+def _row_error(path, raw, width):
+    """The DataError for the first row, in file order, that has other than
+    width fields or a cell that float() refuses."""
+    for lineno, cells in raw:
+        if len(cells) != width:
+            return DataError(f"{path}: row {lineno} has {len(cells)} fields, expected {width}")
+        for col, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                return DataError(f"{path}: row {lineno}, column {col}: "
+                                 f"non-numeric value {cell.strip()!r}")
 
 
 def _all_numeric(cells):
@@ -171,17 +180,25 @@ def to_dataset(table: LabeledTable, outlier_classes=frozenset()) -> Dataset:
     return Dataset(table.rows.T, inlier_labels.T, has_outlier & ~has_inlier)
 
 
-def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation=10.0,
-                       box_scale=10.0, seed=0) -> Dataset:
-    """Seeded Gaussian blobs plus uniform outliers, with generator ground truth.
+def synthetic_truth(k=3, dim=2, points=50, outliers=2, spread=0.5, separation=10.0,
+                    box_scale=10.0, seed=0):
+    """The ground truth of generate_synthetic with the same arguments, without
+    drawing its points: the (k, N) boolean truth_memberships and the (N,)
+    boolean truth_outliers.  Raises DataError where generate_synthetic does,
+    except for points that overflow in the draw."""
+    _synthetic_layout(k, dim, points, outliers, spread, separation, box_scale, seed)
+    return _synthetic_owner_truth(k, points, outliers)
 
-    k clusters of `points` points each, with standard deviation spread
-    around means evenly spaced on a circle of radius separation in the
-    first two coordinates (on a line for dim=1), then `outliers` points
-    uniform in the box +/- max(separation*box_scale, 1), which must
-    strictly contain every mean.  Points come cluster by cluster, the
-    outliers last.
-    """
+
+def _synthetic_owner_truth(k, points, outliers):
+    # each point's cluster index; the outliers get k or more, which no truth row has
+    owner = np.arange(k * points + outliers) // points
+    return owner == np.arange(k)[:, None], owner >= k
+
+
+def _synthetic_layout(k, dim, points, outliers, spread, separation, box_scale, seed):
+    """Check generate_synthetic's arguments.  Returns the (k, dim) cluster
+    means and the half width of the outlier box."""
     for name, value, low in (("k", k, 1), ("dim", dim, 1), ("points", points, 1),
                              ("outliers", outliers, 0), ("seed", seed, 0),
                              ("spread", spread, 0)):
@@ -201,7 +218,22 @@ def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation
         raise DataError("outlier box must strictly contain every cluster mean")
     if not np.isfinite(2.0 * half):  # the uniform draw needs a finite width
         raise DataError("synthetic outlier box overflows; lower separation or box_scale")
+    return means, half
 
+
+def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation=10.0,
+                       box_scale=10.0, seed=0) -> Dataset:
+    """Seeded Gaussian blobs plus uniform outliers, with generator ground truth.
+
+    k clusters of `points` points each, with standard deviation spread
+    around means evenly spaced on a circle of radius separation in the
+    first two coordinates (on a line for dim=1), then `outliers` points
+    uniform in the box +/- max(separation*box_scale, 1), which must
+    strictly contain every mean.  Points come cluster by cluster, the
+    outliers last.  The truth is synthetic_truth's.
+    """
+    means, half = _synthetic_layout(k, dim, points, outliers, spread, separation,
+                                    box_scale, seed)
     rng = np.random.default_rng(seed)
     n = k * points + outliers
     # one (k, dim, points) draw takes the same normals as k per-cluster draws;
@@ -217,9 +249,8 @@ def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation
     out[:, :k * points].reshape(dim, k, points)[...] = blobs.transpose(1, 0, 2)
     del blobs
     out[:, k * points:] = rng.uniform(-half, half, (dim, outliers))
-    # each point's cluster index; the outliers get k or more, which no truth row has
-    owner = np.arange(n) // points
-    return Dataset(out, owner == np.arange(k)[:, None], owner >= k)
+    # truth last: its place sets peak_rss_mb under a never-trimmed heap (ROADMAP item 8)
+    return Dataset(out, *_synthetic_owner_truth(k, points, outliers))
 
 
 def inject_noise(data: Dataset, count: int, seed=0) -> Dataset:

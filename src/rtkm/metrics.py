@@ -37,11 +37,16 @@ class Clustering:
 
 def clustering_from_result(hard_assignments, n_clusters: int, outlier_flags=None) -> Clustering:
     """Build a Clustering from per-point assignment sets (any iterables of
-    cluster labels in [0, n_clusters), such as frozensets or lists)."""
+    integer cluster labels in [0, n_clusters), such as frozensets or lists).
+    A label that is a float or a bool is refused, not read as an integer."""
     sets = list(hard_assignments)
     try:
         sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-        labels = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
+        flat = list(chain.from_iterable(sets))
+        if not all(t is not bool and issubclass(t, (int, np.integer))
+                   for t in set(map(type, flat))):
+            raise TypeError
+        labels = np.fromiter(flat, dtype=np.intp, count=len(flat))
     except (TypeError, ValueError, OverflowError):
         raise MetricError("hard assignments must be collections of integer labels") from None
     if labels.size and not (0 <= labels.min() and labels.max() < n_clusters):

@@ -140,11 +140,15 @@ class FitResult:
     stop_reason: str
 
     def label_lists(self) -> list:
-        """Each point's cluster indices in increasing order, one list per point."""
+        """Each point's cluster indices in increasing order, one tuple per
+        point.  json writes the tuples as arrays.  Tuples of ints, unlike
+        lists, leave the garbage collector's tracking at its first pass, so
+        N of them do not make it rescan the heap while they live."""
         _, labels = np.nonzero(self.assignments.T)  # point-major
         ends = np.cumsum(self.assignments.sum(axis=0)).tolist()
         labels = labels.tolist()
-        return [labels[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        # list slices, not one N-tuple's: see ROADMAP item 8 on peak_rss_mb
+        return [tuple(labels[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
     @cached_property
     def hard_assignments(self) -> tuple:

@@ -166,15 +166,30 @@ def _best_of_restarts(fit, ds, base_cfg, restarts):
     return best
 
 
+def _table1_f1(path, label_spec, k, s):
+    """Best-of-5 RTKM F1 on an indicator-label CSV, the Table 1 protocol."""
+    ds = to_dataset(load_csv(path, label_spec))
+    best = _best_of_restarts(fit_rtkm, ds, SolverConfig(k=k, s=s, alpha=0.0, seed=0), 5)
+    return average_f1(Clustering(best.assignments, best.outlier_flags),
+                      truth_clustering(ds.truth_memberships, ds.truth_outliers))
+
+
+def test_table1_protocol_on_a_small_csv(tmp_path):
+    # criteria 7a and 7b run this protocol only with their datasets on disk
+    rng = np.random.default_rng(3)
+    points = np.concatenate([rng.normal(0, 0.1, (20, 2)), rng.normal(5, 0.1, (20, 2))])
+    labels = np.repeat(np.eye(2, dtype=int), 20, axis=0)
+    path = tmp_path / "two.csv"
+    path.write_text("".join(f"{x!r},{y!r},{a},{b}\n"
+                            for (x, y), (a, b) in zip(points.tolist(), labels.tolist())))
+    assert _table1_f1(str(path), "last:2", k=2, s=1) == 1.0
+
+
 @pytest.mark.skipif(dataset_path("RTKM_YEAST", "yeast.csv") is None,
                     reason="yeast dataset not on disk")
 def test_criterion_7a_yeast_table1():
     started = time.perf_counter()
-    table = load_csv(dataset_path("RTKM_YEAST", "yeast.csv"), "last:14")
-    ds = to_dataset(table)
-    best = _best_of_restarts(fit_rtkm, ds,
-                             SolverConfig(k=14, s=4, alpha=0.0, seed=0), 5)
-    f1 = average_f1(Clustering(best.assignments, best.outlier_flags), truth_clustering(ds))
+    f1 = _table1_f1(dataset_path("RTKM_YEAST", "yeast.csv"), "last:14", k=14, s=4)
     elapsed = time.perf_counter() - started
     report("7a", f"yeast protocol F1 = {f1:.3f} (target 0.317 +/- 0.05, "
                  f"{elapsed:.0f}s)", abs(f1 - 0.317) <= 0.05 and elapsed < 300)
@@ -184,11 +199,7 @@ def test_criterion_7a_yeast_table1():
                     reason="scene dataset not on disk")
 def test_criterion_7b_scene_table1():
     started = time.perf_counter()
-    table = load_csv(dataset_path("RTKM_SCENE", "scene.csv"), "last:6")
-    ds = to_dataset(table)
-    best = _best_of_restarts(fit_rtkm, ds,
-                             SolverConfig(k=6, s=1, alpha=0.0, seed=0), 5)
-    f1 = average_f1(Clustering(best.assignments, best.outlier_flags), truth_clustering(ds))
+    f1 = _table1_f1(dataset_path("RTKM_SCENE", "scene.csv"), "last:6", k=6, s=1)
     elapsed = time.perf_counter() - started
     report("7b", f"scene protocol F1 = {f1:.3f} (target 0.597 +/- 0.05, "
                  f"{elapsed:.0f}s)", abs(f1 - 0.597) <= 0.05 and elapsed < 300)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib.util
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtkm import cli
 from rtkm import data as datamod
 from rtkm.cli import main, parse_synth_spec
 
@@ -140,6 +142,22 @@ def test_eval_standardize_skips_the_points(tmp_path, monkeypatch):
     assert run(["eval", "--result", str(res), "--synth", SYNTH, "--standardize",
                 "--out", str(flagged)]) == 0
     assert flagged.read_bytes() == plain.read_bytes()
+
+
+def test_eval_synth_draws_no_points(tmp_path, monkeypatch):
+    """eval reads only the truth of a --synth spec, so it draws no points."""
+    res = tmp_path / "res.json"
+    assert run(["fit", "--algorithm", "rtkm", "--synth", SYNTH, "--k", "3",
+                "--alpha", "0.013", "--out", str(res)]) == 0
+    plain, patched = tmp_path / "plain.json", tmp_path / "patched.json"
+    assert run(["eval", "--result", str(res), "--synth", SYNTH, "--out", str(plain)]) == 0
+
+    def generate_synthetic(**spec):
+        raise AssertionError("eval drew the points")
+
+    monkeypatch.setattr(datamod, "generate_synthetic", generate_synthetic)
+    assert run(["eval", "--result", str(res), "--synth", SYNTH, "--out", str(patched)]) == 0
+    assert patched.read_bytes() == plain.read_bytes()
 
 
 def test_traced_benchmark_targets_resolve():
@@ -297,16 +315,17 @@ def _csv(tmp_path, text):
     return str(path)
 
 
-def _eval_of(edit):
-    """argv factory: eval SMALL against a fit artifact changed by edit,
-    which maps the artifact's text to the text or bytes that eval reads."""
+def _eval_of(edit, synth=SMALL):
+    """argv factory: eval --synth synth against a fit artifact of SMALL
+    changed by edit, which maps the artifact's text to the text or bytes
+    that eval reads."""
     def argv(tmp_path):
         path = tmp_path / "res.json"
         assert main(["fit", "--algorithm", "rtkm", "--synth", SMALL, "--k", "3",
                      "--alpha", "0.1", "--out", str(path)]) == 0
         data = edit(path.read_text())
         path.write_bytes(data if isinstance(data, bytes) else data.encode())
-        return ["eval", "--result", str(path), "--synth", SMALL]
+        return ["eval", "--result", str(path), "--synth", synth]
     return argv
 
 
@@ -390,10 +409,20 @@ EXIT_CASES = {
         lambda r: r["hard_assignments"].__setitem__(0, ["a"])))),
     "result-too-few-points": (3, _eval_of(_edit_result(
         lambda r: r["hard_assignments"].pop()))),
+    "result-label-float": (3, _eval_of(_edit_result(
+        lambda r: r["hard_assignments"].__setitem__(0, [1.7])))),
+    "result-label-bool": (3, _eval_of(_edit_result(
+        lambda r: r["hard_assignments"].__setitem__(0, [True])))),
+    "result-n-points-float": (3, _eval_of(_edit_result(lambda r: r.update(n_points=17.0)))),
     "result-outlier-negative": (3, _eval_of(_edit_result(
         lambda r: r["outlier_indices"].__setitem__(0, -1)))),
+    "result-outlier-bool": (3, _eval_of(_edit_result(
+        lambda r: r["outlier_indices"].__setitem__(0, True)))),
     "result-outlier-ge-n": (3, _eval_of(_edit_result(
         lambda r: r["outlier_indices"].__setitem__(0, 17)))),
+    # eval takes the truth of a --synth spec, which points that overflow in
+    # the draw do not change
+    "eval-synth-spread-overflow": (0, _eval_of(lambda text: text, SMALL + ",spread=1e308")),
     "overflow": (4, lambda t: ["fit", "--algorithm", "rtkm",
                                "--data", _csv(t, "1e200,0\n2,1\n3,0\n-1e200,1\n5,0\n"),
                                "--labels", "col:-1", "--k", "2", "--alpha", "0.2",
@@ -411,6 +440,31 @@ def test_exit_codes(tmp_path, capsys, case):
         assert last[0].startswith("error: ")
     elif code == 2:
         assert "error: " in last[0]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("case", ["eval-ok"] + sorted(c for c in EXIT_CASES
+                                                    if c.startswith("result-")))
+def test_eval_decodes_with_the_collector_paused(tmp_path, monkeypatch, case, collecting):
+    """read_result decodes the artifact with the garbage collector off and
+    leaves it on or off as it found it, whether eval succeeds or not."""
+    code, argv = EXIT_CASES[case]
+    argv = argv(tmp_path)
+    states, load = [], json.load
+
+    def recording_load(fh):
+        states.append(gc.isenabled())
+        return load(fh)
+
+    monkeypatch.setattr(cli.json, "load", recording_load)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert exit_code(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states == [False]
 
 
 # --- artifacts ----------------------------------------------------------

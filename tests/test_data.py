@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtkm.data import (
     DataError,
@@ -9,6 +11,7 @@ from rtkm.data import (
     load_csv,
     parse_label_spec,
     standardize,
+    synthetic_truth,
     to_dataset,
 )
 from rtkm.solver import ConfigError, Dataset
@@ -97,6 +100,70 @@ def test_roundtrip(tmp_path):
     back = load_csv(path, "last:3")
     np.testing.assert_array_equal(back.rows, rows)
     np.testing.assert_array_equal(back.labels, labels)
+
+
+@st.composite
+def _numeric_cell(draw):
+    """A cell float() accepts: a float written in one of several forms, maybe
+    with an underscore between two digits, maybe padded with blanks."""
+    x = draw(st.floats(-1e300, 1e300))  # no form rounds it to inf
+    text = draw(st.sampled_from(["{!r}", "{:.17e}", "{:.6g}", "{:.3E}"])).format(x)
+    pairs = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    if pairs and draw(st.booleans()):
+        i = draw(st.sampled_from(pairs))
+        text = text[:i] + "_" + text[i:]
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    return draw(pad) + text + draw(pad)
+
+
+def _non_numeric(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def _csv_grid(draw):
+    """(lines of cells, row number of the header or None); some cells may
+    be replaced by text that float() refuses."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_numeric_cell(), min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+        rows[r][c] = draw(st.sampled_from(["x", "1..5", "1e", "_1", "1_", "0x10", "one"]))
+    if draw(st.booleans()):
+        rows.insert(0, [f"f{c}" for c in range(width)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_grid())
+def test_load_csv_reads_each_cell_as_float_does(tmp_path_factory, rows):
+    """The table holds float(cell) bit for bit, and a non-numeric cell is
+    named by the row and column that a cell-by-cell reading finds first
+    (a first row with such a cell is a header)."""
+    path = tmp_path_factory.mktemp("csv") / "grid.csv"
+    path.write_text("".join(",".join(cells) + "\n" for cells in rows))
+    numbered = list(enumerate(rows, 1))
+    if any(map(_non_numeric, rows[0])):
+        numbered = numbered[1:]
+    bad = [(lineno, col) for lineno, cells in numbered
+           for col, cell in enumerate(cells) if _non_numeric(cell)]
+    if not numbered:
+        with pytest.raises(DataError, match="no data rows after header"):
+            load_csv(path)
+    elif bad:
+        lineno, col = bad[0]
+        with pytest.raises(DataError, match=f"row {lineno}, column {col}: non-numeric"):
+            load_csv(path)
+    else:
+        want = np.array([[float(cell) for cell in cells] for _, cells in numbered])
+        rows_read = load_csv(path).rows
+        assert rows_read.shape == want.shape
+        assert rows_read.tobytes() == want.tobytes()
 
 
 # --- to_dataset ---------------------------------------------------------
@@ -194,6 +261,37 @@ def test_spec_validation():
         generate_synthetic(points=0)
     with pytest.raises(DataError, match="strictly contain"):
         generate_synthetic(separation=10.0, box_scale=0.05)  # box +/- 1, means at 10
+
+
+@pytest.mark.parametrize("spec", [
+    {}, {"k": 1, "points": 1, "outliers": 0}, {"k": 4, "dim": 1, "points": 7, "outliers": 5},
+    {"k": 2, "spread": 0.0, "seed": 9}])
+def test_synthetic_truth_is_the_generators(spec):
+    memberships, outliers = synthetic_truth(**spec)
+    ds = generate_synthetic(**spec)
+    assert memberships.dtype == outliers.dtype == bool
+    np.testing.assert_array_equal(memberships, ds.truth_memberships)
+    np.testing.assert_array_equal(outliers, ds.truth_outliers)
+
+
+@pytest.mark.parametrize("spec", [
+    {"points": 0}, {"k": 0}, {"dim": 0}, {"outliers": -1}, {"seed": -1},
+    {"spread": float("nan")}, {"separation": float("inf")},
+    {"separation": 10.0, "box_scale": 0.05}, {"separation": 1e308}])
+def test_synthetic_truth_refuses_what_the_generator_refuses(spec):
+    with pytest.raises(DataError) as truth_error:
+        synthetic_truth(**spec)
+    with pytest.raises(DataError) as generator_error:
+        generate_synthetic(**spec)
+    assert str(truth_error.value) == str(generator_error.value)
+
+
+def test_synthetic_truth_draws_no_points():
+    """Points that overflow in the draw are the generator's error alone."""
+    with pytest.raises(DataError, match="points overflow"):
+        generate_synthetic(spread=1e308)
+    memberships, outliers = synthetic_truth(spread=1e308)
+    assert memberships.shape == (3, 152) and outliers.sum() == 2
 
 
 # --- inject_noise -------------------------------------------------------

@@ -240,6 +240,8 @@ def test_clustering_from_result_edge_cases():
     np.testing.assert_array_equal(c.clusters, reference_clusters([[0], [], [0, 2], [2]], 3))
     assert c.clusters[1].sum() == 0
     assert not c.outliers.any()
+    numpy_labels = clustering_from_result([[np.int64(0)], [np.uint8(2)]], 3)
+    np.testing.assert_array_equal(numpy_labels.clusters, reference_clusters([[0], [2]], 3))
     assert clustering_from_result([], 2).clusters.shape == (2, 0)
     assert clustering_from_result([[], []], 0).clusters.shape == (0, 2)
 
@@ -250,7 +252,8 @@ def test_clustering_from_result_label_out_of_range(sets):
         clustering_from_result(sets, 3)
 
 
-@pytest.mark.parametrize("sets", [[[0], [None]], [[0], ["a"]], [[0], 1]])
+@pytest.mark.parametrize("sets", [[[0], [None]], [[0], ["a"]], [[0], 1], [[0], [1.7]],
+                                  [[0], [1.0]], [[0], [True]], [[False]], [[np.bool_(1)]]])
 def test_clustering_from_result_non_integer_labels(sets):
     with pytest.raises(MetricError, match="integer"):
         clustering_from_result(sets, 3)

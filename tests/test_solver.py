@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -712,3 +713,17 @@ def test_fit_invariants_on_edge_shapes(inputs):
         assert all(type(j) is int for labels in res.label_lists() for j in labels), name
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0])), name
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_label_lists_write_as_the_list_form(s):
+    """label_lists gives one tuple per point, which json writes as the list
+    of the point's clusters; hard_assignments holds the same labels."""
+    data = make_blobs_with_outliers(per_cluster=20)
+    res = fit_rtkm(data, SolverConfig(k=3, s=s, alpha=2 / data.n_points, seed=0))
+    labels = res.label_lists()
+    as_lists = [np.flatnonzero(col).tolist() for col in res.assignments.T]
+    assert all(type(point) is tuple for point in labels)
+    assert max(map(len, as_lists)) == s
+    assert json.dumps(labels) == json.dumps(as_lists)
+    assert res.hard_assignments == tuple(map(frozenset, as_lists))
