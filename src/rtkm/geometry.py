@@ -2,11 +2,23 @@
 
 The capped simplex with mass s in dimension n is the set
 {w in [0,1]^n : sum(w) = s}.  The projection of y is clip(y - tau, 0, 1)
-for the scalar tau solving f(tau) = sum(clip(y - tau, 0, 1)) = s; f is
-piecewise linear and nonincreasing with breakpoints {y_j - 1, y_j}, so tau
-is found exactly by bisecting over the 2n sorted breakpoints for the
-segment where f crosses s and interpolating on it (Wang & Lu, "Projection
-onto the Capped Simplex", arXiv:1503.01002).
+for the scalar tau solving f(tau) = sum(clip(y - tau, 0, 1)) = s.  Which
+algorithm finds tau depends on the mass:
+
+- 0 < s <= 1 (every W step with s = 1).  A point with w >= 0 and
+  sum(w) = s <= 1 has no entry above 1, so the cap cannot bind and the
+  set is the simplex {w >= 0, sum(w) = s}.  Its projection has a closed
+  form (Duchi, Shalev-Shwartz, Singer & Chandra, ICML 2008): sort y in
+  descending order into u, take css_r = (u_1 + ... + u_r - s) / r, and
+  tau = css_rho for the last row rho with u_rho > css_rho.  It is taken
+  on y - u_1, so that rounding stays at the scale of s.  That costs one
+  sort of n entries and one running sum per column.
+- 1 < s < n (W steps with s > 1, the inlier vector v).  f is piecewise
+  linear and nonincreasing with breakpoints {y_j - 1, y_j}, so tau is
+  found exactly by bisecting over the 2n sorted breakpoints for the
+  segment where f crosses s and interpolating on it (Wang & Lu,
+  "Projection onto the Capped Simplex", arXiv:1503.01002).  That costs a
+  sort of 2n entries and about log2(2n) evaluations of f per column.
 
 Columns are independent, so a wide matrix is projected in contiguous blocks
 of columns, one per CPU, each on its own thread.  Every column goes through
@@ -41,7 +53,39 @@ def _cpu_count():
 
 
 def _project_block(Y, mass, out):
-    """Write the projection of every column of Y into out (same shape).
+    """Write the projection of every column of Y into out (same shape)."""
+    if mass <= 1.0:
+        _project_simplex(Y, mass, out)
+    else:
+        _bisect_capped(Y, mass, out)
+
+
+def _project_simplex(Y, mass, out):
+    """The closed form for 0 < mass <= 1, where the cap cannot bind.
+
+    Each column is first moved by its largest entry, top.  Only entries
+    within mass of top can carry weight, and their differences from it
+    round at the scale of mass, not of top.  Without the move, tau =
+    top - mass rounds to top once |top| >= 2**53, and every weight of such
+    a column comes out 0, as in the W steps of a fit on data at a scale of
+    1e8.
+    """
+    n, b = Y.shape
+    u = np.sort(Y, axis=0)[::-1]
+    top = u[0].copy()
+    u -= top  # row 0 is 0 > -mass = css_1, so the support is never empty
+    css = np.cumsum(u, axis=0, out=out)  # in row order, in a block of any width
+    css -= mass
+    css /= np.arange(1.0, n + 1.0)[:, None]
+    rho = n - 1 - np.argmax((u > css)[::-1], axis=0)  # the last row in the support
+    tau = css[rho, np.arange(b)]
+    np.subtract(Y, top, out=out)
+    out -= tau
+    np.clip(out, 0.0, 1.0, out=out)
+
+
+def _bisect_capped(Y, mass, out):
+    """Bisection over the breakpoints for 1 < mass < n.
 
     out also holds each evaluation of f and Y - 1 for the active count, so
     a block allocates only its 2n sorted breakpoints beyond a few vectors.

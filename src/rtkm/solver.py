@@ -284,6 +284,33 @@ def _start_centers(data, config, initial_centers, rng):
     return X[:, idx].copy()
 
 
+def _smallest(values, count):
+    """Flags of the count smallest of the N values (count <= N), ties to
+    the lowest index: the set np.argsort(values, kind="stable")[:count]
+    gives, found by one partition instead of a sort."""
+    if count == 0:
+        return np.zeros(values.size, dtype=bool)
+    kth = np.partition(values, count - 1)[count - 1]
+    if np.isnan(kth):  # argsort puts nan last
+        flags, ties = ~np.isnan(values), np.isnan(values)
+    else:
+        flags, ties = values < kth, values == kth
+    flags[np.flatnonzero(ties)[:count - np.count_nonzero(flags)]] = True
+    return flags
+
+
+def _update_centers(C, X, labels):
+    """Set each center (column of C) to the mean of the points (columns of
+    X) labelled with its index, summed in point order; label k marks a
+    trimmed point, and a cluster with no points keeps its center."""
+    k = C.shape[1]
+    counts = np.bincount(labels, minlength=k + 1)[:k]
+    filled = counts > 0
+    for row, center in zip(X, C):
+        sums = np.bincount(labels, weights=row, minlength=k + 1)[:k]
+        center[filled] = sums[filled] / counts[filled]
+
+
 def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: int = 1):
     """Extract final assignments from converged (W, v) of the soft engine.
 
@@ -297,10 +324,7 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
     w = np.asarray(memberships, dtype=float)
     v = np.asarray(inliers, dtype=float)
     k, n = w.shape
-    n_out = trim_count(alpha, n)
-    flags = np.zeros(n, dtype=bool)
-    if n_out > 0:
-        flags[np.argsort(v, kind="stable")[:n_out]] = True
+    flags = _smallest(v, trim_count(alpha, n))
     if s == 1:
         assigned = np.zeros((k, n), dtype=bool)
         assigned[_first_extreme(w, np.maximum)[0], np.arange(n)] = True
@@ -330,14 +354,9 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
         converged = False
         for _ in range(config.max_iters):
             iters += 1
-            new_trimmed = np.zeros(n, dtype=bool)
-            if n_trim > 0:  # nearest holds the distances to the current centers
-                new_trimmed[np.argsort(-nearest, kind="stable")[:n_trim]] = True
-            for j in range(k):
-                members = (assign == j) & ~new_trimmed
-                if members.any():
-                    C[:, j] = X[:, members].mean(axis=1)
-                # empty cluster: keep the previous center
+            # nearest holds the distances to the current centers
+            new_trimmed = _smallest(-nearest, n_trim)
+            _update_centers(C, X, np.where(new_trimmed, k, assign))
             new_assign, nearest = _first_extreme(distances(C), np.minimum)
             trace.append(float(nearest[~new_trimmed].sum()))
             converged = (np.array_equal(new_assign, assign)

@@ -180,6 +180,31 @@ def test_project_columns_properties(inputs):
     np.testing.assert_allclose(project_columns(W, mass), W, rtol=0, atol=tol)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_projection_inputs(), st.floats(0.0, 1.0, exclude_min=True),
+       st.integers(0, 2**32 - 1))
+def test_unit_mass_closed_form_agrees_with_the_bisection(inputs, mass, seed):
+    """For 0 < mass <= 1 the cap cannot bind, and the sort-and-running-sum
+    closed form stands in for the bisection.  The two agree within the
+    rounding of the running sum, which grows with the row count: (n + 2)
+    ulps of the column scale.  The closed form works on the column minus
+    its largest entry, so its sum is within (n + 2) ulps of 1 of the mass
+    at any scale, also for columns scaled to 2**53 and beyond, where
+    u_1 - mass rounds to u_1."""
+    Y, _ = inputs
+    n, b = Y.shape
+    rng = np.random.default_rng(seed)
+    Y = Y * 2.0 ** rng.choice([0, 0, 53, 60], size=b)
+    W = project_columns(Y, mass)
+    bisected = np.empty_like(Y)
+    geometry._bisect_capped(Y, mass, bisected)
+    ulps = (n + 2) * np.finfo(float).eps
+    assert np.all((W >= 0.0) & (W <= 1.0))
+    assert np.all(np.abs(W.sum(axis=0) - mass) <= ulps)
+    assert np.all(np.abs(W - bisected) <= ulps * np.maximum(1.0, np.abs(Y).max(axis=0)))
+    np.testing.assert_array_equal(project_mass(Y[:, 0], mass), W[:, 0])
+
+
 def _reference_project_columns(Y, mass):
     """The one-thread projection the blocked one must match bit for bit."""
     Y = np.asarray(Y, dtype=float)
@@ -188,6 +213,14 @@ def _reference_project_columns(Y, mass):
         return np.zeros_like(Y)
     if mass == n:
         return np.ones_like(Y)
+    if mass <= 1.0:  # the cap cannot bind: Duchi et al.'s closed form on Y - top
+        u = np.sort(Y, axis=0)[::-1]
+        top = u[0]
+        u = u - top
+        css = (np.cumsum(u, axis=0) - mass) / np.arange(1, n + 1)[:, None]
+        support = u > css
+        rho = np.array([np.flatnonzero(support[:, i])[-1] for i in range(b)], dtype=np.intp)
+        return np.clip((Y - top) - css[rho, np.arange(b)], 0.0, 1.0)
     bps = np.sort(np.concatenate((Y - 1.0, Y), axis=0), axis=0)
     cols = np.arange(b)
 

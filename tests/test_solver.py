@@ -17,12 +17,14 @@ from rtkm import (
     fit_relaxed_kmeans,
     fit_rtkm,
     fit_trimmed_kmeans,
+    generate_synthetic,
     hard_assign,
     init_centers,
     objective_rtkm,
     trim_count,
 )
-from rtkm.solver import INIT_MODES, SUPPORT_EPS, _first_extreme, squared_distances
+from rtkm.solver import (INIT_MODES, SUPPORT_EPS, _first_extreme, _smallest, _update_centers,
+                         squared_distances)
 
 from conftest import make_blobs_with_outliers
 
@@ -506,6 +508,59 @@ def test_hard_assign_inlier_without_support_is_empty():
     assigned, flags = hard_assign(w, np.ones(2), 0.0, s=2)
     np.testing.assert_array_equal(assigned, [[True, False], [True, False]])
     assert not flags.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.data())
+def test_smallest_matches_a_stable_argsort(n, seed, data):
+    """The partition-based selection picks the set a stable argsort's first
+    count entries give: ties (0.0 and -0.0 among them) go to the lowest
+    indices, and nan counts as the largest value."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-3, 4, n) / 2  # many ties
+    values[rng.random(n) < 0.2] = -0.0
+    values[rng.random(n) < 0.1] = rng.choice([np.inf, -np.inf, np.nan])
+    count = data.draw(st.integers(0, n))
+    for x in (values, -values):
+        want = np.zeros(n, dtype=bool)
+        want[np.argsort(x, kind="stable")[:count]] = True
+        np.testing.assert_array_equal(_smallest(x, count), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 80), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_update_centers_equals_the_per_cluster_means(m, n, k, seed):
+    """The bincount update gives, bit for bit, the means the hard engine
+    took cluster by cluster with X[:, members].mean(axis=1).  With m >= 2
+    that slice is F-ordered, so its mean sums in point order, as bincount
+    does; label k marks a trimmed point."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 1.0, (m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
+    X[rng.random((m, n)) < 0.1] = -0.0
+    labels = rng.integers(0, k + 1, n)
+    C = rng.normal(size=(m, k))
+    want = C.copy()
+    for j in range(k):
+        if (labels == j).any():
+            want[:, j] = X[:, labels == j].mean(axis=1)
+    _update_centers(C, X, labels)
+    np.testing.assert_array_equal(C, want)
+    np.testing.assert_array_equal(np.signbit(C), np.signbit(want))
+
+
+@pytest.mark.parametrize("fit", [fit_relaxed_kmeans, fit_rtkm])
+@pytest.mark.parametrize("scale", [1e8, 1e12])
+def test_soft_fit_keeps_feasible_weights_on_large_data(fit, scale):
+    """At a data scale of 1e8 the W step's entries pass 2**53, where
+    u_1 - mass rounds to u_1; the s = 1 projection must still give columns
+    summing to 1, and the fit the same partition as on unscaled data."""
+    data = generate_synthetic(k=3, points=50, outliers=2, seed=42)
+    big = Dataset(data.points * scale)
+    config = SolverConfig(k=3, alpha=2 / 152, seed=0, max_iters=100)
+    want, got = fit(data, config), fit(big, config)
+    np.testing.assert_allclose(got.memberships.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    np.testing.assert_array_equal(got.outlier_flags, want.outlier_flags)
 
 
 # --- invariants ---------------------------------------------------------
