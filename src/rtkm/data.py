@@ -276,8 +276,14 @@ def inject_noise(data: Dataset, count: int, seed=0) -> Dataset:
 
 
 def standardize(data: Dataset) -> Dataset:
-    """Z-score each feature; constant features are left centered."""
-    mu = data.points.mean(axis=1, keepdims=True)
-    sd = data.points.std(axis=1, keepdims=True)
+    """Z-score each feature; constant features are left centered.  Raises
+    FloatingPointError naming the first feature whose mean or sd overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        mu = data.points.mean(axis=1, keepdims=True)
+        sd = data.points.std(axis=1, keepdims=True)
+    bad = ~(np.isfinite(mu) & np.isfinite(sd))[:, 0]
+    if bad.any():
+        raise FloatingPointError(f"feature {np.flatnonzero(bad)[0]}: mean or standard "
+                                 "deviation overflows; rescale the data")
     sd[sd == 0.0] = 1.0
     return Dataset((data.points - mu) / sd, data.truth_memberships, data.truth_outliers)

@@ -24,7 +24,7 @@ class ConfigError(ValueError):
     """Invalid solver configuration or incompatible dimensions."""
 
 
-W_INIT_MODES = ("projected", "hard", "random")
+W_INIT_MODES = ("hard", "random")
 INIT_MODES = ("random-points", "kmeans++")
 SUPPORT_EPS = 1e-6  # for s > 1, a point belongs to clusters whose weight exceeds this
 
@@ -261,14 +261,16 @@ def _start_centers(data, config, initial_centers, rng):
         C = np.asarray(initial_centers, dtype=float).copy()
         if C.shape != (data.n_features, k):
             raise ConfigError("initial_centers must be m x k")
+        if not np.isfinite(C).all():
+            raise ConfigError("initial_centers must be finite")
         return C
     if config.init == "random-points":
         idx = rng.choice(n, size=k, replace=False)
         return X[:, idx].copy()
-    # kmeans++
+    # kmeans++, with the points centred once for the distance kernel
+    _, centred, norms = _centred(X)
     idx = [int(rng.integers(n))]
-    with np.errstate(over="ignore"):  # an overflow is raised below
-        d2 = ((X - X[:, idx[0]][:, None]) ** 2).sum(axis=0)
+    d2 = squared_distances(centred, centred[:, idx], norms)[0]
     for _ in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -279,8 +281,7 @@ def _start_centers(data, config, initial_centers, rng):
         else:
             nxt = int(rng.choice(n, p=d2 / total))
         idx.append(nxt)
-        with np.errstate(over="ignore"):
-            d2 = np.minimum(d2, ((X - X[:, nxt][:, None]) ** 2).sum(axis=0))
+        np.minimum(d2, squared_distances(centred, centred[:, [nxt]], norms)[0], out=d2)
     return X[:, idx].copy()
 
 
@@ -375,23 +376,14 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
                      iters, converged, reason)
 
 
-def _initial_weights(distances, C0, v0, config, rng):
-    k, n = config.k, v0.size
-    s = float(config.s)
+def _initial_weights(distances, C0, n, config, rng):
     if config.w_init == "random":
-        return project_columns(rng.random((k, n)), s)
-    G0 = distances(C0)
-    if config.w_init == "hard":
-        order = np.argsort(G0, axis=0, kind="stable")
-        W = np.zeros((k, n))
-        for r in range(config.s):
-            W[order[r], np.arange(n)] = 1.0
-        return W
-    # "projected": one proximal step from the uniform point using the
-    # initial centers.  The uniform point itself is a fixed point of the
-    # iteration (all centers collapse onto the weighted global mean), so it
-    # is no start; "random" and "projected" both break that symmetry.
-    return project_columns(np.full((k, n), s / k) - (v0[None, :] * G0) / config.step_d, s)
+        return project_columns(rng.random((config.k, n)), float(config.s))
+    order = np.argsort(distances(C0), axis=0, kind="stable")  # "hard": the s nearest
+    W = np.zeros((config.k, n))
+    for r in range(config.s):
+        W[order[r], np.arange(n)] = 1.0
+    return W
 
 
 def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=None) -> FitResult:
@@ -408,7 +400,7 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
     C = _start_centers(data, config, initial_centers, rng)
     v = np.full(n, inlier_mass / n)
     distances = _distances_to(X, np.empty((k, n)))  # the buffer G lives in
-    W = _initial_weights(distances, C, v, config, rng)
+    W = _initial_weights(distances, C, n, config, rng)
     work = np.empty((k, n))  # each (k, N) temporary of an iteration in turn
 
     trace = []

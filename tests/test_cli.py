@@ -261,7 +261,6 @@ def test_eval_ignores_empty_class_wherever_it_sits(tmp_path, classes):
     assert json.loads(metrics_out.read_text())["metrics"]["average_f1"] == 1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("algorithm", ["kmeans", "rtkm", "trimmed"])
 @pytest.mark.parametrize("init", ["random-points", "kmeans++"])
 def test_fit_overflowing_distances_is_numeric_error(tmp_path, algorithm, init):
@@ -423,6 +422,13 @@ EXIT_CASES = {
     # eval takes the truth of a --synth spec, which points that overflow in
     # the draw do not change
     "eval-synth-spread-overflow": (0, _eval_of(lambda text: text, SMALL + ",spread=1e308")),
+    # --standardize of a feature whose standard deviation, or mean, overflows
+    "standardize-sd-overflow": (4, lambda t: [
+        "fit", "--algorithm", "kmeans", "--k", "2", "--standardize", "--out", str(t / "r.json"),
+        "--data", _csv(t, "1e308,0\n-1e308,1\n1e308,2\n-1e308,3\n")]),
+    "standardize-mean-overflow": (4, lambda t: [
+        "fit", "--algorithm", "kmeans", "--k", "2", "--standardize", "--out", str(t / "r.json"),
+        "--data", _csv(t, "1e308,0\n1.5e308,1\n1e308,2\n1.7e308,3\n")]),
     "overflow": (4, lambda t: ["fit", "--algorithm", "rtkm",
                                "--data", _csv(t, "1e200,0\n2,1\n3,0\n-1e200,1\n5,0\n"),
                                "--labels", "col:-1", "--k", "2", "--alpha", "0.2",
@@ -430,7 +436,6 @@ EXIT_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
 def test_exit_codes(tmp_path, capsys, case):
     code, argv = EXIT_CASES[case]

@@ -235,6 +235,51 @@ def test_init_centers_k_exceeds_n():
         init_centers(ds, SolverConfig(k=3))
 
 
+def _kmeanspp_reference(X, k, rng):
+    """The indices kmeans++ picks, with each squared distance taken by the
+    direct formula ((x - c) ** 2).sum()."""
+    n = X.shape[1]
+    idx = [int(rng.integers(n))]
+    d2 = ((X - X[:, idx[0]][:, None]) ** 2).sum(axis=0)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx.append(int(rng.choice(np.setdiff1d(np.arange(n), idx))))
+        else:
+            idx.append(int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, ((X - X[:, idx[-1]][:, None]) ** 2).sum(axis=0))
+    return idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.sampled_from([0.0, 1e-3, 1.0, 1e3, 1e7]),
+       st.data())
+def test_kmeanspp_picks_the_points_of_the_direct_formula(n, m, seed, coarse, scale, offset,
+                                                         data):
+    """kmeans++ takes its distances from squared_distances and picks the
+    points that the direct formula picks, also among duplicate points (a
+    coarse grid) and far from the origin."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, (m, n)).astype(float) if coarse else rng.normal(0.0, 1.0, (m, n))
+    X = X * scale + offset
+    cfg = SolverConfig(k=data.draw(st.integers(1, n)), seed=data.draw(st.integers(0, 99)),
+                       init="kmeans++")
+    want = _kmeanspp_reference(X, cfg.k, np.random.default_rng(cfg.seed))
+    np.testing.assert_array_equal(init_centers(Dataset(X), cfg), X[:, want])
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_refuses_non_finite_initial_centers(name, bad):
+    ds = random_dataset(7)
+    cfg = SolverConfig(k=2, seed=0)
+    centers = init_centers(ds, cfg)
+    centers[0, 1] = bad
+    with pytest.raises(ConfigError, match="initial_centers must be finite"):
+        ALGORITHMS[name](ds, cfg, initial_centers=centers)
+
+
 # --- k-means ------------------------------------------------------------
 
 def test_kmeans_two_pairs():
@@ -662,7 +707,7 @@ def test_permutation_consistency():
     rng = np.random.default_rng(1)
     perm = rng.permutation(n)
     permuted = Dataset(ds.points[:, perm])
-    cfg = SolverConfig(k=3, s=1, alpha=0.1, seed=2, w_init="projected")
+    cfg = SolverConfig(k=3, s=1, alpha=0.1, seed=2, w_init="hard")
     centers0 = init_centers(ds, cfg)
     a = fit_rtkm(ds, cfg, initial_centers=centers0)
     b = fit_rtkm(permuted, cfg, initial_centers=centers0)
@@ -695,11 +740,11 @@ def test_translation_equivariance_property(inputs):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_equivariance_inputs(w_init="projected"))
+@given(_equivariance_inputs(w_init="hard"))
 def test_permutation_consistency_property(inputs):
     """Reordering the points from the same start centers reorders W, v and
-    the hard output the same way.  The projected start of W, unlike the
-    random one, does not depend on the order of the points."""
+    the hard output the same way.  The hard start of W, unlike the random
+    one, does not depend on the order of the points."""
     ds, cfg, rng = inputs
     perm = rng.permutation(ds.n_points)
     centers0 = init_centers(ds, cfg)
@@ -768,6 +813,28 @@ def test_fit_invariants_on_edge_shapes(inputs):
         assert all(type(j) is int for labels in res.label_lists() for j in labels), name
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0])), name
+
+
+@pytest.mark.parametrize("name", ["kmeans", "trimmed"])
+@pytest.mark.parametrize("init", INIT_MODES)
+@settings(max_examples=60, deadline=None)
+@given(inputs=_fit_inputs())
+def test_hard_fits_are_exactly_scale_equivariant(name, init, inputs):
+    """Scaling the points by a power of two scales every rounding of a hard
+    fit exactly, the kmeans++ draws through the distance kernel included.
+    So the fit of 2**j X from its own seeded start makes the same decisions,
+    and its centers and objectives are those of X times 2**j and 4**j."""
+    ds, config = inputs
+    cfg = dataclasses.replace(config, s=1, init=init)
+    assume(name == "kmeans" or cfg.k <= ds.n_points - trim_count(cfg.alpha, ds.n_points))
+    a = ALGORITHMS[name](ds, cfg)
+    for j in (-10, 10):
+        b = ALGORITHMS[name](Dataset(2.0**j * ds.points), cfg)
+        np.testing.assert_array_equal(b.centers, 2.0**j * a.centers)
+        assert b.objective_trace == tuple(4.0**j * t for t in a.objective_trace)
+        np.testing.assert_array_equal(b.assignments, a.assignments)
+        np.testing.assert_array_equal(b.outlier_flags, a.outlier_flags)
+        assert b.iterations == a.iterations
 
 
 @pytest.mark.parametrize("s", [1, 2])
