@@ -80,9 +80,14 @@ def load_csv(path, label_spec=None) -> LabeledTable:
     offending row.
     """
     label_spec = parse_label_spec(label_spec)
-    with open(path, newline="") as fh:
-        raw = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), 1)
-               if row and any(cell.strip() for cell in row)]
+    # utf-8-sig drops the byte order mark that a UTF-8 "with BOM" export
+    # puts first; left in the first cell, it made that record a header
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            raw = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), 1)
+                   if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not raw:
         raise DataError(f"{path}: no data rows")
     if not _all_numeric(raw[0][1]):
@@ -114,6 +119,8 @@ def load_csv(path, label_spec=None) -> LabeledTable:
         col = arg if arg >= 0 else width + arg
         if not 0 <= col < width:
             raise DataError(f"{path}: class column {arg} out of range for width {width}")
+        if width == 1:
+            raise DataError(f"{path}: class column {arg} leaves no feature column")
         classes, index = np.unique(table[:, col], return_inverse=True)
         labels = index.reshape(-1, 1) == np.arange(classes.size)
         return LabeledTable(np.delete(table, col, axis=1), labels)

@@ -20,44 +20,20 @@ algorithm finds tau depends on the mass:
   "Projection onto the Capped Simplex", arXiv:1503.01002).  That costs a
   sort of 2n entries and about log2(2n) evaluations of f per column.
 
-Columns are independent, so a wide matrix is projected in contiguous blocks
-of columns, one per CPU, each on its own thread.  Every column goes through
-the same operations in the same order in any block, so the output does not
-depend on the number of blocks.
+Every column takes the same operations in the same order, on the calling
+thread.  numpy's scans over axis 0 (`cumsum`, `argmax` of the reversed
+comparison) pay per column, and the `argmax` makes a transposed copy.  So
+when n < B the closed form makes one pass down the rows, with the running
+sum, css and tau as vectors of B entries and the sorted copy in the output
+array.  A tall matrix keeps numpy's scans, since a loop over its rows
+costs more.  Both give the same sums in the same order and the same tau.
 """
 
-import os
-import threading
-
 import numpy as np
-
-# Least n * B at which project_columns splits its columns over threads.
-# Below it, starting threads and passing the interpreter lock between them
-# costs more than the blocks save.  Medians on 2 CPUs, one thread against
-# two: n=14, B=2400 took 1.4 against 3.0 ms; the two break even near
-# n*B = 100000-150000; n=50, B=4000 took 8.3 against 7.0 ms and n=50,
-# B=10000 23.6 against 13.6 ms.
-PARALLEL_MIN_ENTRIES = 150_000
 
 
 class InfeasibleSimplexError(ValueError):
     """Requested mass lies outside [0, dimension]."""
-
-
-def _cpu_count():
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
-
-
-def _project_block(Y, mass, out):
-    """Write the projection of every column of Y into out (same shape)."""
-    if mass <= 1.0:
-        _project_simplex(Y, mass, out)
-    else:
-        _bisect_capped(Y, mass, out)
 
 
 def _project_simplex(Y, mass, out):
@@ -71,14 +47,27 @@ def _project_simplex(Y, mass, out):
     1e8.
     """
     n, b = Y.shape
-    u = np.sort(Y, axis=0)[::-1]
+    np.copyto(out, Y)
+    out.sort(axis=0)
+    u = out[::-1]
     top = u[0].copy()
     u -= top  # row 0 is 0 > -mass = css_1, so the support is never empty
-    css = np.cumsum(u, axis=0, out=out)  # in row order, in a block of any width
-    css -= mass
-    css /= np.arange(1.0, n + 1.0)[:, None]
-    rho = n - 1 - np.argmax((u > css)[::-1], axis=0)  # the last row in the support
-    tau = css[rho, np.arange(b)]
+    # tau is css at the last row in the support
+    if n < b:  # one pass down the rows: see the module docstring
+        total = u[0].copy()
+        css = np.empty(b)
+        tau = np.full(b, -mass, dtype=float)  # css at row 0
+        for r in range(1, n):
+            np.add(total, u[r], out=total)
+            np.subtract(total, mass, out=css)
+            css /= r + 1.0
+            np.copyto(tau, css, where=u[r] > css)
+    else:
+        css = np.cumsum(u, axis=0)
+        css -= mass
+        css /= np.arange(1.0, n + 1.0)[:, None]
+        rho = n - 1 - np.argmax((u > css)[::-1], axis=0)
+        tau = css[rho, np.arange(b)]
     np.subtract(Y, top, out=out)
     out -= tau
     np.clip(out, 0.0, 1.0, out=out)
@@ -88,7 +77,7 @@ def _bisect_capped(Y, mass, out):
     """Bisection over the breakpoints for 1 < mass < n.
 
     out also holds each evaluation of f and Y - 1 for the active count, so
-    a block allocates only its 2n sorted breakpoints beyond a few vectors.
+    a call allocates only its 2n sorted breakpoints beyond a few vectors.
     """
     n, b = Y.shape
     bps = np.empty((2 * n, b))
@@ -123,13 +112,8 @@ def _bisect_capped(Y, mass, out):
 def project_columns(Y, mass: float) -> np.ndarray:
     """Project every column of an (n, B) matrix onto the mass-capped simplex.
 
-    Exact in O(nB log n) time and O(nB) memory; raises on non-finite input
-    or a mass outside [0, n].  When n * B reaches PARALLEL_MIN_ENTRIES, the
-    columns are split into contiguous blocks of at least two columns, one
-    per CPU the process may run on; the calling thread projects one block
-    and a thread started for this call projects each other one.  The
-    output is bit-identical for any number of blocks, and an error raised
-    in a block is raised here.
+    Exact in O(nB log n) time and O(nB) memory, on the calling thread;
+    raises on non-finite input or a mass outside [0, n].
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -144,34 +128,10 @@ def project_columns(Y, mass: float) -> np.ndarray:
     if mass == n:
         return np.ones_like(Y)
     out = np.empty_like(Y)
-    # A block is at least two columns wide: numpy sums a one-column block
-    # pairwise rather than row by row, which can change the last bit.
-    blocks = min(_cpu_count(), b // 2) if n * b >= PARALLEL_MIN_ENTRIES else 1
-    if blocks <= 1:
-        _project_block(Y, mass, out)
-        return out
-
-    edges = [b * i // blocks for i in range(blocks + 1)]
-    errors = [None] * blocks
-    floating_point = np.geterr()  # numpy's error handling is per thread
-
-    def run(i):
-        try:
-            with np.errstate(**floating_point):
-                _project_block(Y[:, edges[i]:edges[i + 1]], mass,
-                               out[:, edges[i]:edges[i + 1]])
-        except BaseException as exc:  # raised again in the caller
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, blocks)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if mass <= 1.0:
+        _project_simplex(Y, mass, out)
+    else:
+        _bisect_capped(Y, mass, out)
     return out
 
 

@@ -308,9 +308,9 @@ def exit_code(argv):
         return exc.code
 
 
-def _csv(tmp_path, text):
+def _csv(tmp_path, text, prefix=b""):
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_bytes(prefix + text.encode())
     return str(path)
 
 
@@ -325,6 +325,19 @@ def _eval_of(edit, synth=SMALL):
         data = edit(path.read_text())
         path.write_bytes(data if isinstance(data, bytes) else data.encode())
         return ["eval", "--result", str(path), "--synth", synth]
+    return argv
+
+
+def _eval_csv(text, labels):
+    """argv factory: eval --data of the CSV text against a fit artifact of
+    as many points."""
+    def argv(tmp_path):
+        rows = text.count("\n")
+        result = tmp_path / "res.json"
+        assert main(["fit", "--algorithm", "kmeans", "--synth", f"k=1,points={rows},outliers=0",
+                     "--k", "1", "--out", str(result)]) == 0
+        return ["eval", "--result", str(result), "--data", _csv(tmp_path, text),
+                "--labels", labels]
     return argv
 
 
@@ -397,6 +410,16 @@ EXIT_CASES = {
                                  "--data", _csv(t, "nan,0\n1,1\n2,0\n"),
                                  "--labels", "col:-1", "--k", "1",
                                  "--out", str(t / "r.json")]),
+    "csv-not-utf8": (3, lambda t: ["fit", "--algorithm", "kmeans",
+                                   "--data", _csv(t, "1,0\n2,1\n", b"\xff"),
+                                   "--labels", "col:-1", "--k", "1",
+                                   "--out", str(t / "r.json")]),
+    # a class column and no feature column
+    "csv-no-features": (3, lambda t: ["fit", "--algorithm", "kmeans",
+                                      "--data", _csv(t, "0\n1\n0\n1\n"),
+                                      "--labels", "col:0", "--k", "1",
+                                      "--out", str(t / "r.json")]),
+    "eval-csv-no-features": (3, _eval_csv("0\n1\n0\n1\n", "col:0")),
     "result-corrupt-json": (3, _eval_of(lambda text: '{"result": ')),
     "result-not-utf8": (3, _eval_of(lambda text: b'{"result": "\xff"}')),
     "result-not-an-object": (3, _eval_of(lambda text: "[1, 2]")),

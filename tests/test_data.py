@@ -82,6 +82,32 @@ def test_load_non_finite_named(tmp_path, cell, spec):
         load_csv(path, spec)
 
 
+@pytest.mark.parametrize("header", ["", "x,c\n"])
+def test_load_utf8_with_byte_order_mark(tmp_path, header):
+    """A UTF-8 "with BOM" export keeps its first record, header or not."""
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + f"{header}1.0,0\n2.0,1\n3.0,0\n4.0,1\n".encode())
+    table = load_csv(path, "col:-1")
+    np.testing.assert_array_equal(table.rows, [[1.0], [2.0], [3.0], [4.0]])
+    np.testing.assert_array_equal(table.labels[:, 1], [False, True, False, True])
+
+
+def test_load_not_utf8_named(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1.0,0\n2.\xff0,1\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_csv(path, "col:-1")
+
+
+@pytest.mark.parametrize("spec", ["col:0", "col:-1"])
+def test_load_class_column_alone_is_refused(tmp_path, spec):
+    path = tmp_path / "classes.csv"
+    path.write_text("0\n1\n0\n1\n")
+    with pytest.raises(DataError, match="no feature column"):
+        load_csv(path, spec)
+    assert load_csv(path).rows.shape == (4, 1)  # unlabeled, it is one feature
+
+
 def test_load_bad_indicator_value(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,2\n")

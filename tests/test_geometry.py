@@ -1,6 +1,3 @@
-import os
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,7 +203,8 @@ def test_unit_mass_closed_form_agrees_with_the_bisection(inputs, mass, seed):
 
 
 def _reference_project_columns(Y, mass):
-    """The one-thread projection the blocked one must match bit for bit."""
+    """The projection as numpy's column scans give it, which project_columns
+    must match bit for bit."""
     Y = np.asarray(Y, dtype=float)
     n, b = Y.shape
     if mass == 0.0:
@@ -247,95 +245,39 @@ def _assert_same_bits(actual, expected):
     np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
 
 
-class _RecordingThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
-
-
 @settings(max_examples=300, deadline=None)
-@given(_projection_inputs(), st.integers(1, 4), st.integers(0, 2**32 - 1),
-       st.sampled_from("CF"))
-def test_blocked_projection_matches_reference_bit_for_bit(inputs, cpus, seed, order):
+@given(_projection_inputs(), st.integers(0, 2**32 - 1), st.sampled_from("CF"))
+def test_blocked_projection_matches_reference_bit_for_bit(inputs, seed, order):
+    """n and B of 1-60 and 1-40 reach both the row pass (n < B) and
+    numpy's column scans (n >= B)."""
     Y, mass = inputs
     rng = np.random.default_rng(seed)
     Y[rng.random(Y.shape) < 0.1] = 0.0
     Y[rng.random(Y.shape) < 0.1] = -0.0
     Y = np.asarray(Y, order=order)
-    expected = _reference_project_columns(Y, mass)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        _assert_same_bits(project_columns(Y, mass), expected)
+    _assert_same_bits(project_columns(Y, mass), _reference_project_columns(Y, mass))
 
 
-def test_no_block_is_one_column_wide(monkeypatch):
-    """numpy sums an (n, 1) block pairwise, not row by row as in a wider
-    one, and the sum order reaches the last bit of the output."""
-    Y = np.random.default_rng(0).normal(0.0, 1.0, (40, 4))
-    monkeypatch.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    _assert_same_bits(project_columns(Y, 4.0), _reference_project_columns(Y, 4.0))
+@pytest.mark.parametrize("shape", [(50, 4000), (10, 20000)])
+def test_wide_unit_mass_projection_matches_reference_bit_for_bit(shape):
+    """The W steps of a fit with s = 1 and many points take the row pass."""
+    Y = np.random.default_rng(5).normal(0.0, 3.0, shape)
+    _assert_same_bits(project_columns(Y, 1.0), _reference_project_columns(Y, 1.0))
 
 
-def test_block_error_reaches_the_caller(monkeypatch):
-    kernel = geometry._project_block
-
-    def failing_off_the_caller(Y, mass, out):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("block failed")
-        kernel(Y, mass, out)
-
-    monkeypatch.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(geometry, "_project_block", failing_off_the_caller)
-    with pytest.raises(RuntimeError, match="block failed"):
-        project_columns(np.zeros((3, 6)), 1.0)
+@pytest.mark.parametrize("mass", [1.0, 0.5])
+def test_long_vector_projection_matches_reference_bit_for_bit(mass):
+    """A one-column call of 100000 entries keeps numpy's column scans."""
+    y = np.random.default_rng(6).normal(0.0, 3.0, 100_000)
+    _assert_same_bits(project_mass(y, mass), _reference_project_columns(y[:, None], mass)[:, 0])
 
 
-def test_blocks_keep_the_callers_floating_point_errors(monkeypatch):
-    """numpy's error handling is per thread; a block obeys the caller's."""
-    Y = np.zeros((2, 4))
-    Y[:, 2:] = [[1.7e308], [-1.7e308]]  # Y - tau overflows in the second block
-    monkeypatch.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
+def test_blocks_keep_the_callers_floating_point_errors():
+    """The projection follows the caller's np.errstate, in both scans."""
+    for n, b in ((2, 4), (2, 1)):  # the row pass, then numpy's column scans
+        Y = np.zeros((n, b))
+        Y[:, -1] = [1.7e308, -1.7e308]  # Y - top overflows in the last column
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             project_columns(Y, 1.0)
-
-
-@pytest.mark.parametrize("cpus, affinity, threads", [
-    (4, None, 3),    # no sched_getaffinity: os.cpu_count() decides
-    (1, None, 0),
-    (None, None, 0),
-    (4, {0}, 0),     # one CPU in the affinity mask
-])
-def test_cpu_count_sources(monkeypatch, cpus, affinity, threads):
-    Y = np.random.default_rng(3).normal(0.0, 2.0, (5, 40))
-    expected = _reference_project_columns(Y, 2.0)
-    monkeypatch.setattr(geometry, "PARALLEL_MIN_ENTRIES", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    if affinity is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-    monkeypatch.setattr(threading, "Thread", _RecordingThread)
-    monkeypatch.setattr(_RecordingThread, "started", 0)
-    _assert_same_bits(project_columns(Y, 2.0), expected)
-    assert _RecordingThread.started == threads
-
-
-def test_small_and_one_column_calls_stay_on_the_caller(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(threading, "Thread", _RecordingThread)
-    monkeypatch.setattr(_RecordingThread, "started", 0)
-    rng = np.random.default_rng(4)
-    project_columns(rng.normal(size=(14, 2400)), 4.0)
-    project_mass(rng.normal(size=geometry.PARALLEL_MIN_ENTRIES), 100.0)
-    assert _RecordingThread.started == 0
-    Y = rng.normal(size=(50, 4000))
-    _assert_same_bits(project_columns(Y, 4.0), _reference_project_columns(Y, 4.0))
-    assert _RecordingThread.started == 3
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(project_columns(Y, 1.0)))
