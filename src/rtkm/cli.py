@@ -189,10 +189,13 @@ def has_outlier_truth(flags):
 
 
 def truth_clustering(memberships, outliers):
-    """The truth clusters are the labels in use; an empty class is none."""
-    if memberships is None:
-        raise datamod.DataError("dataset carries no ground-truth memberships")
-    return Clustering(memberships[memberships.any(axis=1)], outliers)
+    """The truth clusters are the labels in use; an empty class is none.
+    A truth with no cluster in use and no outlier scores nothing."""
+    clusters = memberships[memberships.any(axis=1)]
+    if not (len(clusters) or outliers.any()):
+        raise datamod.DataError("dataset carries no ground truth: no labeled cluster "
+                                "or outlier (see --labels)")
+    return Clustering(clusters, outliers)
 
 
 def _write_json(obj, path):
@@ -354,7 +357,7 @@ def main(argv=None):
     except (datamod.DataError, MetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -283,14 +283,18 @@ def inject_noise(data: Dataset, count: int, seed=0) -> Dataset:
 
 
 def standardize(data: Dataset) -> Dataset:
-    """Z-score each feature; constant features are left centered.  Raises
-    FloatingPointError naming the first feature whose mean or sd overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        mu = data.points.mean(axis=1, keepdims=True)
-        sd = data.points.std(axis=1, keepdims=True)
+    """Z-score each feature; constant features are left centered.  A feature
+    whose mean or sd overflows is z-scored as x / max|x|, whose statistics
+    are finite and whose z-scores are the same."""
+    X = data.points
+    with np.errstate(over="ignore", invalid="ignore"):  # mended below
+        mu = X.mean(axis=1, keepdims=True)
+        sd = X.std(axis=1, keepdims=True)
     bad = ~(np.isfinite(mu) & np.isfinite(sd))[:, 0]
     if bad.any():
-        raise FloatingPointError(f"feature {np.flatnonzero(bad)[0]}: mean or standard "
-                                 "deviation overflows; rescale the data")
+        X = X.copy()
+        X[bad] /= np.abs(X[bad]).max(axis=1, keepdims=True)
+        mu[bad] = X[bad].mean(axis=1, keepdims=True)
+        sd[bad] = X[bad].std(axis=1, keepdims=True)
     sd[sd == 0.0] = 1.0
-    return Dataset((data.points - mu) / sd, data.truth_memberships, data.truth_outliers)
+    return Dataset((X - mu) / sd, data.truth_memberships, data.truth_outliers)

@@ -272,7 +272,8 @@ def _start_centers(data, config, initial_centers, rng):
     idx = [int(rng.integers(n))]
     d2 = squared_distances(centred, centred[:, idx], norms)[0]
     for _ in range(1, k):
-        total = d2.sum()
+        with np.errstate(over="ignore"):  # raised below
+            total = d2.sum()
         if not np.isfinite(total):
             raise FloatingPointError("kmeans++ distances overflow; rescale the data")
         if total <= 0:

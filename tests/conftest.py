@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rtkm import Clustering, Dataset
+
+# --hypothesis-profile=ci draws the same examples on every run, so a failure
+# in CI replays locally; print_blob prints the line that reproduces it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def grid_projection_oracle(y, mass, levels=16, grid=21):

@@ -298,6 +298,7 @@ def test_sweep_bad_alpha_grid_is_usage_error(tmp_path, grid):
 # --- exit codes ---------------------------------------------------------
 
 SMALL = "k=3,points=5,outliers=2"  # N = 17
+NO_TRUTH = "1.0,2.0\n2.0,3.0\n3.0,1.0\n8,9\n"  # an unlabeled CSV
 
 
 def exit_code(argv):
@@ -328,16 +329,15 @@ def _eval_of(edit, synth=SMALL):
     return argv
 
 
-def _eval_csv(text, labels):
-    """argv factory: eval --data of the CSV text against a fit artifact of
-    as many points."""
+def _eval_csv(text, *flags):
+    """argv factory: eval --data of the CSV text, with flags, against a fit
+    artifact of as many points."""
     def argv(tmp_path):
         rows = text.count("\n")
         result = tmp_path / "res.json"
         assert main(["fit", "--algorithm", "kmeans", "--synth", f"k=1,points={rows},outliers=0",
                      "--k", "1", "--out", str(result)]) == 0
-        return ["eval", "--result", str(result), "--data", _csv(tmp_path, text),
-                "--labels", labels]
+        return ["eval", "--result", str(result), "--data", _csv(tmp_path, text), *flags]
     return argv
 
 
@@ -361,6 +361,9 @@ EXIT_CASES = {
     "eval-ok": (0, _eval_of(lambda text: text)),
     "k-exceeds-n": (2, lambda t: ["fit", "--algorithm", "kmeans", "--synth", SMALL,
                                   "--k", "20", "--out", str(t / "r.json")]),
+    "restarts-not-int": (2, lambda t: ["sweep", "--algorithm", "kmeans", "--synth", SMALL,
+                                       "--k", "3", "--alpha-grid", "0", "--restarts", "x",
+                                       "--out", str(t / "s.csv")]),
     "restarts-zero": (2, lambda t: ["sweep", "--algorithm", "kmeans", "--synth", SMALL,
                                     "--k", "3", "--alpha-grid", "0", "--restarts", "0",
                                     "--out", str(t / "s.csv")]),
@@ -390,6 +393,13 @@ EXIT_CASES = {
                                           "--labels", "col:-1", "--outlier-classes", "a",
                                           "--k", "1", "--out", str(t / "r.json")]),
     "seed-negative": (2, _rtkm_fit(SMALL, "--seed", "-1")),
+    "k-zero": (2, lambda t: ["fit", "--algorithm", "kmeans", "--synth", SMALL,
+                             "--k", "0", "--out", str(t / "r.json")]),
+    "s-exceeds-k": (2, _rtkm_fit(SMALL, "--s", "2")),
+    "alpha-one": (2, _rtkm_fit(SMALL, "--alpha", "1")),
+    "max-iters-zero": (2, _rtkm_fit(SMALL, "--max-iters", "0")),
+    "trimmed-s-two": (2, lambda t: ["fit", "--algorithm", "trimmed", "--synth", SMALL,
+                                    "--k", "3", "--s", "2", "--out", str(t / "r.json")]),
     "step-d-nan": (2, _rtkm_fit(SMALL, "--step-d", "nan")),
     "step-e-nan": (2, _rtkm_fit(SMALL, "--step-e", "nan", "--alpha", "0.1")),
     "step-d-inf": (2, _rtkm_fit(SMALL, "--step-d", "inf")),
@@ -419,7 +429,22 @@ EXIT_CASES = {
                                       "--data", _csv(t, "0\n1\n0\n1\n"),
                                       "--labels", "col:0", "--k", "1",
                                       "--out", str(t / "r.json")]),
-    "eval-csv-no-features": (3, _eval_csv("0\n1\n0\n1\n", "col:0")),
+    "eval-csv-no-features": (3, _eval_csv("0\n1\n0\n1\n", "--labels", "col:0")),
+    "csv-empty": (3, lambda t: ["fit", "--algorithm", "kmeans", "--data", _csv(t, ""),
+                                "--k", "1", "--out", str(t / "r.json")]),
+    "labels-col-out-of-range": (3, lambda t: ["fit", "--algorithm", "kmeans",
+                                              "--data", _csv(t, "1,0\n2,1\n"),
+                                              "--labels", "col:2", "--k", "1",
+                                              "--out", str(t / "r.json")]),
+    "labels-last-too-wide": (3, lambda t: ["fit", "--algorithm", "kmeans",
+                                           "--data", _csv(t, "1,0\n2,1\n"),
+                                           "--labels", "last:2", "--k", "1",
+                                           "--out", str(t / "r.json")]),
+    # data without ground truth: refused before any fit or artifact is read
+    "sweep-no-truth": (3, lambda t: ["sweep", "--algorithm", "kmeans", "--k", "2",
+                                     "--data", _csv(t, NO_TRUTH), "--alpha-grid", "0",
+                                     "--restarts", "1", "--out", str(t / "s.csv")]),
+    "eval-no-truth": (3, _eval_csv(NO_TRUTH)),
     "result-corrupt-json": (3, _eval_of(lambda text: '{"result": ')),
     "result-not-utf8": (3, _eval_of(lambda text: b'{"result": "\xff"}')),
     "result-not-an-object": (3, _eval_of(lambda text: "[1, 2]")),
@@ -445,13 +470,18 @@ EXIT_CASES = {
     # eval takes the truth of a --synth spec, which points that overflow in
     # the draw do not change
     "eval-synth-spread-overflow": (0, _eval_of(lambda text: text, SMALL + ",spread=1e308")),
-    # --standardize of a feature whose standard deviation, or mean, overflows
-    "standardize-sd-overflow": (4, lambda t: [
+    # --standardize of a feature whose standard deviation, or mean, overflows:
+    # that feature is z-scored as x / max|x|
+    "standardize-sd-overflow": (0, lambda t: [
         "fit", "--algorithm", "kmeans", "--k", "2", "--standardize", "--out", str(t / "r.json"),
         "--data", _csv(t, "1e308,0\n-1e308,1\n1e308,2\n-1e308,3\n")]),
-    "standardize-mean-overflow": (4, lambda t: [
+    "standardize-mean-overflow": (0, lambda t: [
         "fit", "--algorithm", "kmeans", "--k", "2", "--standardize", "--out", str(t / "r.json"),
         "--data", _csv(t, "1e308,0\n1.5e308,1\n1e308,2\n1.7e308,3\n")]),
+    # the kmeans++ draw's sum of squared distances overflows
+    "kmeanspp-sum-overflow": (4, lambda t: [
+        "fit", "--algorithm", "kmeans", "--init", "kmeans++", "--k", "2",
+        "--data", _csv(t, "0\n0\n0\n1e154\n1e154\n"), "--out", str(t / "r.json")]),
     "overflow": (4, lambda t: ["fit", "--algorithm", "rtkm",
                                "--data", _csv(t, "1e200,0\n2,1\n3,0\n-1e200,1\n5,0\n"),
                                "--labels", "col:-1", "--k", "2", "--alpha", "0.2",
@@ -468,6 +498,18 @@ def test_exit_codes(tmp_path, capsys, case):
         assert last[0].startswith("error: ")
     elif code == 2:
         assert "error: " in last[0]
+
+
+def test_sweep_without_truth_fits_nothing(tmp_path, monkeypatch):
+    """A sweep on data without ground truth stops before its first fit and
+    writes no CSV."""
+    def kmeans(dataset, config):
+        raise AssertionError("the sweep ran a fit")
+
+    monkeypatch.setitem(cli.ALGORITHMS, "kmeans", kmeans)
+    code, argv = EXIT_CASES["sweep-no-truth"]
+    assert exit_code(argv(tmp_path)) == code
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("collecting", [True, False])

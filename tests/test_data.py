@@ -363,3 +363,31 @@ def test_standardize():
     np.testing.assert_allclose(ds.points.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(ds.points[:2].std(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(ds.points[2], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("column,scale", [
+    ([1e308, -1e308, 1e308, -1e308], 1e308),  # the standard deviation overflows
+    ([1e308, 1.5e308, 1e308, 1.7e308], 1.7e308),  # the mean overflows
+    ([1e200, -1e200, 1e200, -1e200], 1e200),  # the squared deviations overflow
+])
+def test_standardize_feature_whose_statistics_overflow(column, scale):
+    """Such a feature is z-scored as x / max|x|; the others keep their bits."""
+    pts = np.array([column, [0.0, 1.0, 2.0, 3.0]])
+    ds = standardize(Dataset(pts))
+    scaled = np.array(column) / scale
+    np.testing.assert_allclose(ds.points[0], (scaled - scaled.mean()) / scaled.std(),
+                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_array_equal(ds.points[1], standardize(Dataset(pts[1:])).points[0])
+
+
+# --- input checks -------------------------------------------------------
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: LabeledTable(np.zeros(3), np.zeros((3, 0), dtype=bool)), "2-d array"),
+    (lambda: LabeledTable(np.zeros((3, 2)), np.zeros((2, 1), dtype=bool)), "one row per record"),
+    (lambda: LabeledTable(np.zeros((3, 2)), np.zeros(3, dtype=bool)), "one row per record"),
+    (lambda: inject_noise(generate_synthetic(), -1), "nonnegative"),
+])
+def test_library_input_checks(make, match):
+    with pytest.raises(DataError, match=match):
+        make()

@@ -124,6 +124,12 @@ def test_project_columns_validates():
         project_columns(np.array([[np.nan, 0.0]]).T, 1.0)
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+def test_project_columns_refuses_other_than_a_matrix(shape):
+    with pytest.raises(ValueError, match="matrix"):
+        project_columns(np.zeros(shape), 1.0)
+
+
 @st.composite
 def _projection_inputs(draw):
     # Entries are drawn by numpy from a hypothesis seed: element-wise
@@ -177,53 +183,58 @@ def test_project_columns_properties(inputs):
     np.testing.assert_allclose(project_columns(W, mass), W, rtol=0, atol=tol)
 
 
+def _in_frame(Y, frame):
+    """The projection from a finder's (top, tau)."""
+    top, tau = frame
+    return np.clip((Y - top) - tau, 0.0, 1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_projection_inputs(), st.floats(0.0, 1.0, exclude_min=True),
        st.integers(0, 2**32 - 1))
 def test_unit_mass_closed_form_agrees_with_the_bisection(inputs, mass, seed):
     """For 0 < mass <= 1 the cap cannot bind, and the sort-and-running-sum
-    closed form stands in for the bisection.  The two agree within the
-    rounding of the running sum, which grows with the row count: (n + 2)
-    ulps of the column scale.  The closed form works on the column minus
-    its largest entry, so its sum is within (n + 2) ulps of 1 of the mass
-    at any scale, also for columns scaled to 2**53 and beyond, where
-    u_1 - mass rounds to u_1."""
+    closed form stands in for the bisection when n < B.  The two agree
+    within the rounding of the running sum, which grows with the row
+    count: (n + 2) ulps of 1.  Both work on the column minus its largest
+    entry, so they agree so closely at any scale, and the closed form's sum
+    is within (n + 2) ulps of 1 of the mass, also for columns scaled to
+    2**53 and beyond, where u_1 - mass rounds to u_1."""
     Y, _ = inputs
     n, b = Y.shape
     rng = np.random.default_rng(seed)
     Y = Y * 2.0 ** rng.choice([0, 0, 53, 60], size=b)
-    W = project_columns(Y, mass)
-    bisected = np.empty_like(Y)
-    geometry._bisect_capped(Y, mass, bisected)
+    closed = _in_frame(Y, geometry._project_simplex(Y, mass, np.empty_like(Y)))
+    bisected = _in_frame(Y, geometry._bisect_capped(Y, mass, np.empty_like(Y)))
     ulps = (n + 2) * np.finfo(float).eps
-    assert np.all((W >= 0.0) & (W <= 1.0))
-    assert np.all(np.abs(W.sum(axis=0) - mass) <= ulps)
-    assert np.all(np.abs(W - bisected) <= ulps * np.maximum(1.0, np.abs(Y).max(axis=0)))
-    np.testing.assert_array_equal(project_mass(Y[:, 0], mass), W[:, 0])
+    assert np.all((closed >= 0.0) & (closed <= 1.0))
+    assert np.all(np.abs(closed.sum(axis=0) - mass) <= ulps)
+    assert np.all(np.abs(closed - bisected) <= ulps)
+    np.testing.assert_array_equal(project_columns(Y, mass), closed if n < b else bisected)
 
 
 def _reference_project_columns(Y, mass):
-    """The projection as numpy's column scans give it, which project_columns
-    must match bit for bit."""
+    """The projection as numpy's column scans give it, in the frame of each
+    column's largest entry, which project_columns must match bit for bit."""
     Y = np.asarray(Y, dtype=float)
     n, b = Y.shape
     if mass == 0.0:
         return np.zeros_like(Y)
     if mass == n:
         return np.ones_like(Y)
-    if mass <= 1.0:  # the cap cannot bind: Duchi et al.'s closed form on Y - top
-        u = np.sort(Y, axis=0)[::-1]
-        top = u[0]
-        u = u - top
+    top = Y.max(axis=0)
+    if mass <= 1.0 and n < b:  # the cap cannot bind: Duchi et al.'s closed form
+        u = np.sort(Y, axis=0)[::-1] - top
         css = (np.cumsum(u, axis=0) - mass) / np.arange(1, n + 1)[:, None]
         support = u > css
         rho = np.array([np.flatnonzero(support[:, i])[-1] for i in range(b)], dtype=np.intp)
         return np.clip((Y - top) - css[rho, np.arange(b)], 0.0, 1.0)
-    bps = np.sort(np.concatenate((Y - 1.0, Y), axis=0), axis=0)
+    Z = Y - top
+    bps = np.sort(np.concatenate((Z - 1.0, Z), axis=0), axis=0)
     cols = np.arange(b)
 
     def f(tau):
-        return np.clip(Y - tau, 0.0, 1.0).sum(axis=0)
+        return np.clip(Z - tau, 0.0, 1.0).sum(axis=0)
 
     lo = np.zeros(b, dtype=np.intp)
     hi = np.full(b, 2 * n - 1, dtype=np.intp)
@@ -234,9 +245,9 @@ def _reference_project_columns(Y, mass):
         hi = np.where(ge, hi, mid)
     tau0 = bps[lo, cols]
     f0 = f(tau0)
-    active = np.count_nonzero((Y - 1.0 <= tau0) & (Y > tau0), axis=0)
+    active = np.count_nonzero((Z - 1.0 <= tau0) & (Z > tau0), axis=0)
     tau = np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
-    return np.clip(Y - tau, 0.0, 1.0)
+    return np.clip((Y - top) - tau, 0.0, 1.0)
 
 
 def _assert_same_bits(actual, expected):
@@ -248,8 +259,8 @@ def _assert_same_bits(actual, expected):
 @settings(max_examples=300, deadline=None)
 @given(_projection_inputs(), st.integers(0, 2**32 - 1), st.sampled_from("CF"))
 def test_blocked_projection_matches_reference_bit_for_bit(inputs, seed, order):
-    """n and B of 1-60 and 1-40 reach both the row pass (n < B) and
-    numpy's column scans (n >= B)."""
+    """n and B of 1-60 and 1-40 reach both the row pass (mass <= 1, n < B)
+    and the bisection (every other mass and shape)."""
     Y, mass = inputs
     rng = np.random.default_rng(seed)
     Y[rng.random(Y.shape) < 0.1] = 0.0
@@ -267,17 +278,41 @@ def test_wide_unit_mass_projection_matches_reference_bit_for_bit(shape):
 
 @pytest.mark.parametrize("mass", [1.0, 0.5])
 def test_long_vector_projection_matches_reference_bit_for_bit(mass):
-    """A one-column call of 100000 entries keeps numpy's column scans."""
+    """A one-column call of 100000 entries takes the bisection at any mass."""
     y = np.random.default_rng(6).normal(0.0, 3.0, 100_000)
     _assert_same_bits(project_mass(y, mass), _reference_project_columns(y[:, None], mass)[:, 0])
 
 
 def test_blocks_keep_the_callers_floating_point_errors():
-    """The projection follows the caller's np.errstate, in both scans."""
-    for n, b in ((2, 4), (2, 1)):  # the row pass, then numpy's column scans
+    """The projection follows the caller's np.errstate, in both finders."""
+    # the row pass, then the bisection at mass 1 and above it
+    for n, b, mass in ((2, 4, 1.0), (2, 1, 1.0), (3, 1, 1.5)):
         Y = np.zeros((n, b))
-        Y[:, -1] = [1.7e308, -1.7e308]  # Y - top overflows in the last column
+        Y[:2, -1] = [1.7e308, -1.7e308]  # Y - top overflows in the last column
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            project_columns(Y, 1.0)
+            project_columns(Y, mass)
         with np.errstate(over="ignore"):
-            assert np.all(np.isfinite(project_columns(Y, 1.0)))
+            assert np.all(np.isfinite(project_columns(Y, mass)))
+
+
+@st.composite
+def _shifted_grid_inputs(draw):
+    """(Y, c, mass) with Y on the grid of 2**e and c a multiple of 2**e of
+    up to 2**(52 + e) <= 2**60, so that every entry of Y + c is exact."""
+    n = draw(st.integers(1, 12))
+    b = draw(st.integers(1, 12))
+    e = draw(st.integers(-4, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = rng.integers(-16, 17, (n, b)) * 2.0**e
+    c = draw(st.integers(-2**52, 2**52)) * 2.0**e
+    mass = draw(st.floats(0, n, exclude_min=True, exclude_max=True))
+    return Y, c, mass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shifted_grid_inputs())
+def test_projection_is_exactly_translation_invariant(inputs):
+    """Both finders work on Y - top, which a shift that keeps every entry
+    exact does not change, so neither do the output's bits."""
+    Y, c, mass = inputs
+    _assert_same_bits(project_columns(Y + c, mass), project_columns(Y, mass))

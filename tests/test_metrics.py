@@ -257,3 +257,14 @@ def test_clustering_from_result_label_out_of_range(sets):
 def test_clustering_from_result_non_integer_labels(sets):
     with pytest.raises(MetricError, match="integer"):
         clustering_from_result(sets, 3)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: Clustering(np.zeros(3, dtype=bool)), "k x N"),
+    (lambda: Clustering(np.zeros((1, 2, 3), dtype=bool)), "k x N"),
+    (lambda: me_score([True, False], [True, False, False]), "1-d and the same length"),
+    (lambda: me_score([[True, False]], [[True, False]]), "1-d and the same length"),
+])
+def test_library_input_checks(make, match):
+    with pytest.raises(MetricError, match=match):
+        make()

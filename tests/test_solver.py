@@ -849,3 +849,34 @@ def test_label_lists_write_as_the_list_form(s):
     assert max(map(len, as_lists)) == s
     assert json.dumps(labels) == json.dumps(as_lists)
     assert res.hard_assignments == tuple(map(frozenset, as_lists))
+
+
+# --- input checks -------------------------------------------------------
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: Dataset(np.zeros(3)), "m x N"),
+    (lambda: Dataset(np.zeros((2, 0))), "m x N"),
+    (lambda: Dataset([[0.0, np.nan]]), "non-finite"),
+    (lambda: Dataset(np.zeros((1, 3)), None, [False, True]), "length must equal N"),
+    (lambda: SolverConfig(k=0), "k must be"),
+    (lambda: SolverConfig(k=2, s=0), "1 <= s <= k"),
+    (lambda: SolverConfig(k=2, s=3), "1 <= s <= k"),
+    (lambda: SolverConfig(k=2, alpha=1.0), "alpha"),
+    (lambda: SolverConfig(k=2, alpha=-0.1), "alpha"),
+    (lambda: SolverConfig(k=2, max_iters=0), "max_iters"),
+    (lambda: SolverConfig(k=2, init="bogus"), "init"),
+    (lambda: SolverConfig(k=2, w_init="bogus"), "w_init"),
+    (lambda: objective_rtkm(Dataset([[0.0, 1.0]]), [0.0], [[1.0, 1.0]], np.ones(2)),
+     "centers"),
+    (lambda: objective_rtkm(Dataset([[0.0, 1.0]]), [[0.0], [1.0]], [[1.0, 1.0]], np.ones(2)),
+     "centers"),
+    (lambda: objective_rtkm(Dataset([[0.0, 1.0]]), [[0.0]], [[1.0, 1.0]], np.ones(3)),
+     "inlier vector"),
+    (lambda: fit_kmeans(Dataset([[0.0, 1.0, 2.0]]), SolverConfig(k=2),
+                        initial_centers=[[0.0]]), "initial_centers"),
+    (lambda: fit_trimmed_kmeans(Dataset([[0.0, 1.0, 2.0]]), SolverConfig(k=2, s=2)),
+     "s = 1"),
+])
+def test_library_input_checks(make, match):
+    with pytest.raises(ConfigError, match=match):
+        make()
