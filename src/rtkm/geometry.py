@@ -4,15 +4,15 @@ The capped simplex with mass s in dimension n is the set
 {w in [0,1]^n : sum(w) = s}.  The projection of y is clip(y - tau, 0, 1)
 for the scalar tau solving f(tau) = sum(clip(y - tau, 0, 1)) = s.
 
-Every column is projected in one frame: each finder returns the column's
-largest entry, top, and the tau of y - top, and `project_columns` forms
-clip((y - top) - tau, 0, 1) in one place.  A shift of y that leaves its
-entries representable does not change y - top, so it leaves the
-projection's bits as they are; without the frame, tau rounds at the scale
-of top, and at an offset of 1e16 every weight of a column could come out
-0.  An entry more than 2**52 below top is a whole number in the frame, so
-it cannot carry fractional weight.  Which finder runs depends on the mass
-and the shape (n, B) of the matrix:
+Every column is projected in one frame: each finder builds y - top, for
+the column's largest entry top, and hands it back with the tau found in it,
+and `project_columns` clips (y - top) - tau in place.  A shift of y that
+leaves its entries representable does not change y - top, so it leaves
+the projection's bits as they are; without the frame, tau rounds at the
+scale of top, and at an offset of 1e16 a column could lose all its weight.
+An entry more than 2**52 below top is a whole number in the frame, so it
+cannot carry fractional weight.  Which finder runs depends on the mass and
+the shape (n, B) of the matrix:
 
 - 0 < s <= 1 and n < B (every W step with s = 1).  A point with w >= 0
   and sum(w) = s <= 1 has no entry above 1, so the cap cannot bind and the
@@ -39,13 +39,11 @@ class InfeasibleSimplexError(ValueError):
     """Requested mass lies outside [0, dimension]."""
 
 
-def _project_simplex(Y, mass, out):
-    """(top, tau) by the closed form, for 0 < mass <= 1; out holds the
-    sorted columns."""
+def _project_simplex(Y, mass):
+    """(frame, tau) by the closed form, for 0 < mass <= 1."""
     n, b = Y.shape
-    np.copyto(out, Y)
-    out.sort(axis=0)
-    u = out[::-1]
+    frame = np.sort(Y, axis=0)
+    u = frame[::-1]
     top = u[0].copy()
     u -= top  # row 0 is 0 > -mass = css_1, so the support is never empty
     total = u[0].copy()
@@ -56,17 +54,17 @@ def _project_simplex(Y, mass, out):
         np.subtract(total, mass, out=css)
         css /= r + 1.0
         np.copyto(tau, css, where=u[r] > css)
-    return top, tau
+    np.subtract(Y, top, out=frame)
+    return frame, tau
 
 
-def _bisect_capped(Y, mass, out):
-    """(top, tau) by bisection over the breakpoints; out holds each
-    evaluation of f."""
+def _bisect_capped(Y, mass):
+    """(frame, tau) by bisection over the breakpoints."""
     n, b = Y.shape
     top = Y.max(axis=0)
     z = np.subtract(Y, top)
     # an entry whose distance to top overflowed (under over="ignore") is
-    # -inf, and -inf - -inf is nan: keep it at the most negative double
+    # -inf, and -inf - -inf is nan: hold it at -max, which clips to 0 too
     np.maximum(z, -np.finfo(float).max, out=z)
     bps = np.empty((2 * n, b))
     np.subtract(z, 1.0, out=bps[:n])
@@ -74,11 +72,12 @@ def _bisect_capped(Y, mass, out):
     bps.sort(axis=0)
     flat = bps.reshape(-1)
     cols = np.arange(b)
+    scratch = np.empty_like(z)  # each evaluation of f
 
     def f(tau):  # summed over rows in order, so each column's f is monotone
-        np.subtract(z, tau, out=out)
-        np.clip(out, 0.0, 1.0, out=out)
-        return out.sum(axis=0)
+        np.subtract(z, tau, out=scratch)
+        np.clip(scratch, 0.0, 1.0, out=scratch)
+        return scratch.sum(axis=0)
 
     # Largest breakpoint index with f >= mass: f(bps[0]) = n, f(bps[-1]) = 0.
     lo = np.zeros(b, dtype=np.intp)
@@ -90,9 +89,9 @@ def _bisect_capped(Y, mass, out):
         np.copyto(hi, mid, where=~ge)
     tau0 = flat[lo * b + cols]
     f0 = f(tau0)
-    np.subtract(z, 1.0, out=out)
-    active = np.count_nonzero((out <= tau0) & (z > tau0), axis=0)
-    return top, np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
+    np.subtract(z, 1.0, out=scratch)
+    active = np.count_nonzero((scratch <= tau0) & (z > tau0), axis=0)
+    return z, np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
 
 
 def project_columns(Y, mass: float) -> np.ndarray:
@@ -113,12 +112,10 @@ def project_columns(Y, mass: float) -> np.ndarray:
         return np.zeros_like(Y)
     if mass == n:
         return np.ones_like(Y)
-    out = np.empty_like(Y)
     find = _project_simplex if mass <= 1.0 and n < b else _bisect_capped
-    top, tau = find(Y, mass, out)
-    np.subtract(Y, top, out=out)
-    out -= tau
-    return np.clip(out, 0.0, 1.0, out=out)
+    frame, tau = find(Y, mass)
+    frame -= tau
+    return np.clip(frame, 0.0, 1.0, out=frame)
 
 
 def project_mass(y, mass: float) -> np.ndarray:

@@ -229,6 +229,16 @@ def _first_extreme(matrix, extreme):
     return index, best
 
 
+def _total(values, axis=None):
+    """values.sum(axis), raising FloatingPointError (with no warning) if
+    a sum is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        total = values.sum(axis=axis)
+    if not np.isfinite(total).all():
+        raise FloatingPointError("a sum of squared distances overflows; rescale the data")
+    return total
+
+
 def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
                    inliers: np.ndarray) -> float:
     """Robust objective sum_i v_i sum_j w_ji ||x_i - c_j||^2."""
@@ -241,8 +251,8 @@ def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
         raise ConfigError("membership matrix must be k x N")
     if inliers.shape != (data.n_points,):
         raise ConfigError("inlier vector length must equal N")
-    per_point = (memberships * squared_distances(data.points, centers)).sum(axis=0)
-    return float((inliers * per_point).sum())
+    per_point = _total(memberships * squared_distances(data.points, centers), axis=0)
+    return float(_total(inliers * per_point))
 
 
 def init_centers(data: Dataset, config: SolverConfig) -> np.ndarray:
@@ -272,10 +282,7 @@ def _start_centers(data, config, initial_centers, rng):
     idx = [int(rng.integers(n))]
     d2 = squared_distances(centred, centred[:, idx], norms)[0]
     for _ in range(1, k):
-        with np.errstate(over="ignore"):  # raised below
-            total = d2.sum()
-        if not np.isfinite(total):
-            raise FloatingPointError("kmeans++ distances overflow; rescale the data")
+        total = _total(d2)
         if total <= 0:
             choices = np.setdiff1d(np.arange(n), idx)
             nxt = int(rng.choice(choices))
@@ -349,7 +356,7 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
     distances = _distances_to(X, np.empty((k, n)))
     assign, nearest = _first_extreme(distances(C), np.minimum)
     trimmed = np.zeros(n, dtype=bool)
-    trace = [float(nearest.sum())]
+    trace = [float(_total(nearest))]
     iters = 0
     phases = (0, trim_count(config.alpha, n)) if trim else (0,)
     for n_trim in phases:
@@ -360,7 +367,7 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
             new_trimmed = _smallest(-nearest, n_trim)
             _update_centers(C, X, np.where(new_trimmed, k, assign))
             new_assign, nearest = _first_extreme(distances(C), np.minimum)
-            trace.append(float(nearest[~new_trimmed].sum()))
+            trace.append(float(_total(nearest[~new_trimmed])))
             converged = (np.array_equal(new_assign, assign)
                          and np.array_equal(new_trimmed, trimmed))
             assign, trimmed = new_assign, new_trimmed
@@ -421,10 +428,10 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
         np.subtract(W, step, out=work)
         del W  # freed before the projection allocates its output
         W = project_columns(work, float(s))
-        per_point = np.multiply(W, G, out=work).sum(axis=0)
+        per_point = _total(np.multiply(W, G, out=work), axis=0)  # finite for the v step
         if n_out > 0:
             v = project_mass(v - per_point / config.step_e, float(inlier_mass))
-        obj = float((v * per_point).sum())
+        obj = float(_total(v * per_point))
         trace.append(obj)
         if prev_obj is not None and abs(prev_obj - obj) <= config.tol * max(1.0, prev_obj):
             converged = True

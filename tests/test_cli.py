@@ -482,6 +482,17 @@ EXIT_CASES = {
     "kmeanspp-sum-overflow": (4, lambda t: [
         "fit", "--algorithm", "kmeans", "--init", "kmeans++", "--k", "2",
         "--data", _csv(t, "0\n0\n0\n1e154\n1e154\n"), "--out", str(t / "r.json")]),
+    # every squared distance is finite, but a point's loss at s = 2 sums two
+    "soft-loss-overflow-rtkm": (4, lambda t: [
+        "fit", "--algorithm", "rtkm", "--k", "2", "--s", "2", "--alpha", "0.2", "--seed", "0",
+        "--data", _csv(t, "0\n0\n0\n0.6e154\n1.2e154\n1.2e154\n"), "--out", str(t / "r.json")]),
+    "soft-loss-overflow-relaxed": (4, lambda t: [
+        "fit", "--algorithm", "relaxed", "--k", "2", "--s", "2", "--seed", "0",
+        "--data", _csv(t, "0\n0\n0\n0.6e154\n1.2e154\n1.2e154\n"), "--out", str(t / "r.json")]),
+    # every squared distance is finite, but the objective trace sums three
+    "hard-trace-overflow": (4, lambda t: [
+        "fit", "--algorithm", "kmeans", "--k", "2", "--seed", "0",
+        "--data", _csv(t, "0\n0\n1.2e154\n1.2e154\n1.2e154\n"), "--out", str(t / "r.json")]),
     "overflow": (4, lambda t: ["fit", "--algorithm", "rtkm",
                                "--data", _csv(t, "1e200,0\n2,1\n3,0\n-1e200,1\n5,0\n"),
                                "--labels", "col:-1", "--k", "2", "--alpha", "0.2",

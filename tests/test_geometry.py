@@ -183,10 +183,12 @@ def test_project_columns_properties(inputs):
     np.testing.assert_allclose(project_columns(W, mass), W, rtol=0, atol=tol)
 
 
-def _in_frame(Y, frame):
-    """The projection from a finder's (top, tau)."""
-    top, tau = frame
-    return np.clip((Y - top) - tau, 0.0, 1.0)
+def _in_frame(Y, found):
+    """The projection from a finder's (frame, tau), whose frame is Y minus
+    each column's largest entry."""
+    frame, tau = found
+    np.testing.assert_array_equal(frame, Y - Y.max(axis=0))
+    return np.clip(frame - tau, 0.0, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,8 +206,8 @@ def test_unit_mass_closed_form_agrees_with_the_bisection(inputs, mass, seed):
     n, b = Y.shape
     rng = np.random.default_rng(seed)
     Y = Y * 2.0 ** rng.choice([0, 0, 53, 60], size=b)
-    closed = _in_frame(Y, geometry._project_simplex(Y, mass, np.empty_like(Y)))
-    bisected = _in_frame(Y, geometry._bisect_capped(Y, mass, np.empty_like(Y)))
+    closed = _in_frame(Y, geometry._project_simplex(Y, mass))
+    bisected = _in_frame(Y, geometry._bisect_capped(Y, mass))
     ulps = (n + 2) * np.finfo(float).eps
     assert np.all((closed >= 0.0) & (closed <= 1.0))
     assert np.all(np.abs(closed.sum(axis=0) - mass) <= ulps)

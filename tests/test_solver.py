@@ -161,15 +161,32 @@ def test_squared_distances_overflow_raises_without_warning():
             squared_distances(OVERFLOWING.points, OVERFLOWING.points[:, :2])
 
 
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+# Every squared distance of these two is finite.  A point's loss sums two
+# of them at s = 2, and the hard engine's objective sums three.
+LOSS_OVERFLOW = Dataset([[0.0, 0.0, 0.0, 0.6e154, 1.2e154, 1.2e154]])
+TRACE_OVERFLOW = Dataset([[0.0, 0.0, 1.2e154, 1.2e154, 1.2e154]])
+OVERFLOW_CASES = {
+    **{name: OVERFLOWING for name in ALGORITHMS},
+    "relaxed-losses": LOSS_OVERFLOW,
+    "rtkm-losses": LOSS_OVERFLOW,
+    **{f"{name}-trace": TRACE_OVERFLOW for name in ALGORITHMS},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
 @pytest.mark.parametrize("init", INIT_MODES)
-def test_fit_overflow_raises_without_warning(name, init):
-    """The only signal of an overflow is the FloatingPointError."""
-    config = SolverConfig(k=2, alpha=0.2 if name in ("rtkm", "trimmed") else 0.0, init=init)
+def test_fit_overflow_raises_without_warning(case, init):
+    """The only signal of an overflow is the FloatingPointError, whether a
+    squared distance overflows or a sum of them does; the soft solvers take
+    s = 2 on the data whose distances are finite."""
+    name, data = case.split("-")[0], OVERFLOW_CASES[case]
+    s = 2 if name in ("relaxed", "rtkm") and data is not OVERFLOWING else 1
+    config = SolverConfig(k=2, s=s, alpha=0.2 if name in ("rtkm", "trimmed") else 0.0,
+                          init=init)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError):
-            ALGORITHMS[name](OVERFLOWING, config)
+            ALGORITHMS[name](data, config)
 
 
 @settings(max_examples=200, deadline=None)
