@@ -19,7 +19,6 @@ from .solver import (
 from .metrics import Clustering, average_f1, me_score
 from .data import (
     DataError,
-    LabeledTable,
     generate_synthetic,
     inject_noise,
     load_csv,
@@ -34,7 +33,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "FitResult",
-    "LabeledTable",
     "SolverConfig",
     "average_f1",
     "fit_kmeans",

@@ -156,9 +156,8 @@ def load_dataset(args):
 
 
 def _load_csv_dataset(args):
-    table = datamod.load_csv(args.data, args.labels)
     outlier_classes = args.outlier_classes or frozenset()
-    dataset = datamod.to_dataset(table, outlier_classes)
+    dataset = datamod.to_dataset(datamod.load_csv(args.data, args.labels), outlier_classes)
     with open(args.data, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     return dataset, {"path": args.data, "sha256": digest, "labels": args.labels,
@@ -185,7 +184,7 @@ def make_config(args, **overrides):
 def has_outlier_truth(flags):
     """Whether the truth outlier flags mark some but not all points, the
     case in which M_e is defined."""
-    return flags is not None and 0 < flags.sum() < flags.size
+    return 0 < flags.sum() < flags.size
 
 
 def truth_clustering(memberships, outliers):

@@ -3,54 +3,17 @@ noise injection."""
 
 import csv
 import logging
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .solver import Dataset, as_boolean
+from .solver import Dataset
 
 log = logging.getLogger(__name__)
 
 
 class DataError(ValueError):
     """Malformed input data."""
-
-
-@dataclass(frozen=True)
-class LabeledTable:
-    """Rectangular feature table with per-record labels.
-
-    rows is (N, m); labels is an (N, C) boolean matrix over C classes,
-    labels[i, c] marking record i as a member of class c (a record may
-    have any number of labels, none included).
-    """
-
-    rows: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise DataError("rows must be a 2-d array")
-        labels = as_boolean(self.labels, DataError, "labels")
-        if labels.ndim != 2 or labels.shape[0] != rows.shape[0]:
-            raise DataError("labels must be a matrix with one row per record")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_records(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def cardinality(self) -> float:
-        """Mean number of labels per record; guides the choice of s."""
-        return int(self.labels.sum()) / self.n_records
 
 
 def parse_label_spec(text):
@@ -71,13 +34,15 @@ def parse_label_spec(text):
     return (kind, value)
 
 
-def load_csv(path, label_spec=None) -> LabeledTable:
-    """Load a comma-separated numeric table with an optional header row.
+def load_csv(path, label_spec=None) -> Dataset:
+    """Load a comma-separated numeric table with an optional header row,
+    one record per row, as a Dataset with one truth row per class.
 
     label_spec is None (unlabeled), 'col:J' for a single class column J,
     or 'last:K' for K trailing 0/1 indicator columns (see
-    parse_label_spec).  Malformed rows raise DataError naming the
-    offending row.
+    parse_label_spec).  A record may have any number of classes, none
+    included; no record is a truth outlier.  Malformed rows raise
+    DataError naming the offending row.
     """
     label_spec = parse_label_spec(label_spec)
     # utf-8-sig drops the byte order mark that a UTF-8 "with BOM" export
@@ -111,8 +76,10 @@ def load_csv(path, label_spec=None) -> LabeledTable:
         raise DataError(f"{path}: row {raw[r][0]}, column {c}: "
                         f"non-finite value {float(table[r, c])!r}")
 
+    # points are the transpose of a C-ordered (N, m) table: a BLAS product's
+    # rounding can depend on the layout
     if label_spec is None:
-        return LabeledTable(table, np.zeros((len(raw), 0), dtype=bool))
+        return Dataset(table.T)
 
     kind, arg = label_spec
     if kind == "col":
@@ -122,8 +89,7 @@ def load_csv(path, label_spec=None) -> LabeledTable:
         if width == 1:
             raise DataError(f"{path}: class column {arg} leaves no feature column")
         classes, index = np.unique(table[:, col], return_inverse=True)
-        labels = index.reshape(-1, 1) == np.arange(classes.size)
-        return LabeledTable(np.delete(table, col, axis=1), labels)
+        return Dataset(np.delete(table, col, axis=1).T, np.arange(classes.size)[:, None] == index)
 
     # trailing indicator block
     if arg >= width:
@@ -134,7 +100,7 @@ def load_csv(path, label_spec=None) -> LabeledTable:
         r, c = np.argwhere(bad)[0]
         raise DataError(
             f"{path}: row {raw[r][0]}: indicator column value {float(block[r, c])} is not 0/1")
-    return LabeledTable(np.ascontiguousarray(table[:, : width - arg]), block == 1.0)
+    return Dataset(np.ascontiguousarray(table[:, : width - arg]).T, block.T == 1.0)
 
 
 def _row_error(path, raw, width):
@@ -160,16 +126,17 @@ def _all_numeric(cells):
     return True
 
 
-def to_dataset(table: LabeledTable, outlier_classes=frozenset()) -> Dataset:
-    """Convert a labeled table to a Dataset, mapping whole classes to
+def to_dataset(data: Dataset, outlier_classes=frozenset()) -> Dataset:
+    """data with whole truth classes (rows of its truth matrix) mapped to
     outlier status.
 
-    The inlier classes, in order, become the rows of the truth matrix.
+    The inlier classes, in order, stay the rows of the truth matrix.
     Points labeled only with outlier classes become truth outliers, in no
-    truth cluster.  Points with mixed inlier and outlier labels keep only
-    their inlier labels.
+    truth cluster, beside the points data already flags.  Points with
+    mixed inlier and outlier labels keep only their inlier labels.
     """
-    n_classes = table.labels.shape[1]
+    labels = data.truth_memberships
+    n_classes = labels.shape[0]
     outlier_classes = frozenset(outlier_classes)
     all_classes = frozenset(range(n_classes))
     if not outlier_classes <= all_classes:
@@ -177,14 +144,14 @@ def to_dataset(table: LabeledTable, outlier_classes=frozenset()) -> Dataset:
     is_outlier = np.isin(np.arange(n_classes), list(outlier_classes))
     if n_classes and is_outlier.all():
         raise DataError("every class marked as outlier; no inlier clusters remain")
-    inlier_labels = table.labels[:, ~is_outlier]
-    has_inlier = inlier_labels.any(axis=1)
-    has_outlier = table.labels[:, is_outlier].any(axis=1)
+    inlier_labels = labels[~is_outlier]
+    has_inlier = inlier_labels.any(axis=0)
+    has_outlier = labels[is_outlier].any(axis=0)
     n_mixed = int((has_inlier & has_outlier).sum())
     if n_mixed:
         log.warning("%d records had mixed inlier/outlier labels; kept their inlier labels",
                     n_mixed)
-    return Dataset(table.rows.T, inlier_labels.T, has_outlier & ~has_inlier)
+    return Dataset(data.points, inlier_labels, data.truth_outliers | (has_outlier & ~has_inlier))
 
 
 def synthetic_truth(k=3, dim=2, points=50, outliers=2, spread=0.5, separation=10.0,
@@ -272,13 +239,8 @@ def inject_noise(data: Dataset, count: int, seed=0) -> Dataset:
     high = data.points.max(axis=1)
     noise = rng.uniform(low[:, None], high[:, None], (data.n_features, count))
     points = np.concatenate([data.points, noise], axis=1)
-    memberships = data.truth_memberships
-    if memberships is not None:
-        memberships = np.hstack([memberships, np.zeros((memberships.shape[0], count), bool)])
-    old_flags = data.truth_outliers
-    if old_flags is None:
-        old_flags = np.zeros(data.n_points, dtype=bool)
-    flags = np.concatenate([old_flags, np.ones(count, dtype=bool)])
+    memberships = np.pad(data.truth_memberships, ((0, 0), (0, count)))
+    flags = np.pad(data.truth_outliers, (0, count), constant_values=True)
     return Dataset(points, memberships, flags)
 
 

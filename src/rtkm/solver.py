@@ -50,16 +50,19 @@ def as_boolean(values, error, what):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Column-point data matrix with optional ground truth.
+    """Column-point data matrix with its ground truth.
 
-    points is m features x N points; truth_memberships (when present) is a
-    (k, N) boolean matrix whose row j marks the points of truth cluster j
-    (a point may be in several; truth outliers are in none).
+    points is m features x N points; truth_memberships is a (k, N)
+    boolean matrix whose row j marks the points of truth cluster j (a
+    point may be in several; truth outliers are in none), and
+    truth_outliers the (N,) boolean truth outlier flags.  A truth field
+    left empty (the default) holds no truth: a (0, N) matrix, N false
+    flags.
     """
 
     points: np.ndarray
-    truth_memberships: np.ndarray = None
-    truth_outliers: np.ndarray = None
+    truth_memberships: np.ndarray = ()
+    truth_outliers: np.ndarray = ()
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -67,22 +70,24 @@ class Dataset:
             raise ConfigError("points must be an m x N matrix with m, N >= 1")
         if not np.all(np.isfinite(pts)):
             raise ConfigError("points contain non-finite entries")
+        n = pts.shape[1]
+        members = as_boolean(self.truth_memberships, ConfigError, "truth_memberships")
+        if members.shape == (0,):
+            members = members.reshape(0, n)
+        if members.ndim != 2 or members.shape[1] != n:
+            raise ConfigError("truth_memberships must be a k x N matrix")
+        flags = as_boolean(self.truth_outliers, ConfigError, "truth_outliers")
+        if flags.shape == (0,):
+            flags = np.zeros(n, dtype=bool)
+        if flags.shape != (n,):
+            raise ConfigError("truth_outliers length must equal N")
+        labeled = flags & members.any(axis=0)
+        if labeled.any():
+            raise ConfigError(f"point {np.flatnonzero(labeled)[0]} is flagged "
+                              "as outlier but has cluster labels")
         object.__setattr__(self, "points", pts)
-        if self.truth_memberships is not None:
-            members = as_boolean(self.truth_memberships, ConfigError, "truth_memberships")
-            if members.ndim != 2 or members.shape[1] != pts.shape[1]:
-                raise ConfigError("truth_memberships must be a k x N matrix")
-            object.__setattr__(self, "truth_memberships", members)
-        if self.truth_outliers is not None:
-            flags = as_boolean(self.truth_outliers, ConfigError, "truth_outliers")
-            if flags.shape != (pts.shape[1],):
-                raise ConfigError("truth_outliers length must equal N")
-            if self.truth_memberships is not None:
-                labeled = flags & self.truth_memberships.any(axis=0)
-                if labeled.any():
-                    raise ConfigError(f"point {np.flatnonzero(labeled)[0]} is flagged "
-                                      "as outlier but has cluster labels")
-            object.__setattr__(self, "truth_outliers", flags)
+        object.__setattr__(self, "truth_memberships", members)
+        object.__setattr__(self, "truth_outliers", flags)
 
     @property
     def n_features(self) -> int:
@@ -251,8 +256,10 @@ def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
         raise ConfigError("membership matrix must be k x N")
     if inliers.shape != (data.n_points,):
         raise ConfigError("inlier vector length must equal N")
-    per_point = _total(memberships * squared_distances(data.points, centers), axis=0)
-    return float(_total(inliers * per_point))
+    distances = squared_distances(data.points, centers)
+    with np.errstate(over="ignore", invalid="ignore"):  # the sums raise
+        per_point = _total(memberships * distances, axis=0)
+        return float(_total(inliers * per_point))
 
 
 def init_centers(data: Dataset, config: SolverConfig) -> np.ndarray:
@@ -328,11 +335,16 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
     lowest index; the weights must be finite);
     s>1 to every cluster with weight above SUPPORT_EPS.  The [alpha*N]
     points of smallest v (ties to the lowest index) are flagged as outliers
-    and assigned to no cluster.
+    and assigned to no cluster.  alpha must lie in [0, 1) and v have N
+    entries.
     """
     w = np.asarray(memberships, dtype=float)
     v = np.asarray(inliers, dtype=float)
     k, n = w.shape
+    if not 0.0 <= alpha < 1.0:
+        raise ConfigError("alpha must lie in [0, 1)")
+    if v.shape != (n,):
+        raise ConfigError("inlier vector length must equal N")
     flags = _smallest(v, trim_count(alpha, n))
     if s == 1:
         assigned = np.zeros((k, n), dtype=bool)

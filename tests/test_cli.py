@@ -551,20 +551,33 @@ def test_eval_decodes_with_the_collector_paused(tmp_path, monkeypatch, case, col
 # --- artifacts ----------------------------------------------------------
 
 PINNED_CLI = json.loads((Path(__file__).parent / "pinned_cli.json").read_text())
-PINNED_SYNTH = "k=3,points=10,outliers=2,spread=0.6,separation=10,seed=5"
+DATASET_FLAGS = ("--synth", "--data", "--labels", "--outlier-classes")
+
+
+def _dataset_flags(argv):
+    """The dataset flags of a fit command line, for eval of its artifact."""
+    flags = ["--standardize"] if "--standardize" in argv else []
+    for flag, value in zip(argv, argv[1:]):
+        if flag in DATASET_FLAGS:
+            flags += [flag, value]
+    return flags
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CLI))
-def test_fit_and_eval_write_one_line_pinned_json(tmp_path, case):
+def test_fit_and_eval_write_one_line_pinned_json(tmp_path, monkeypatch, case):
     """fit and eval write one line of JSON whose value equals the one
     recorded in pinned_cli.json (written with indent=2 before artifacts
-    became one-line JSON)."""
+    became one-line JSON).  A case with a "csv" text reads it from
+    data.csv in the working directory, so that the path in its artifact
+    is the same on every run."""
     pinned = PINNED_CLI[case]
+    monkeypatch.chdir(tmp_path)
+    if "csv" in pinned:
+        Path("data.csv").write_text(pinned["csv"])
     artifact, metrics = tmp_path / "res.json", tmp_path / "eval.json"
     assert main(["fit"] + pinned["fit"] + ["--out", str(artifact)]) == 0
-    standardize = ["--standardize"] if "--standardize" in pinned["fit"] else []
-    assert main(["eval", "--result", str(artifact), "--synth", PINNED_SYNTH]
-                + standardize + ["--out", str(metrics)]) == 0
+    assert main(["eval", "--result", str(artifact)] + _dataset_flags(pinned["fit"])
+                + ["--out", str(metrics)]) == 0
     for path, want in ((artifact, pinned["artifact"]), (metrics, pinned["metrics"])):
         text = path.read_text()
         assert text.endswith("}\n") and text.count("\n") == 1

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rtkm.data import (
     DataError,
-    LabeledTable,
     generate_synthetic,
     inject_noise,
     load_csv,
@@ -34,29 +33,34 @@ def test_parse_label_spec():
 def test_load_indicator_fixture(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("f1,f2,c0,c1\n1.0,2.0,1,0\n3.0,4.0,1,1\n5.0,6.0,0,0\n")
-    table = load_csv(path, "last:2")
-    assert table.n_records == 3
-    assert table.n_features == 2
-    np.testing.assert_array_equal(table.rows, [[1, 2], [3, 4], [5, 6]])
-    np.testing.assert_array_equal(table.labels, [[True, False], [True, True], [False, False]])
-    assert table.cardinality == pytest.approx(3 / 3)
+    data = load_csv(path, "last:2")
+    assert data.n_points == 3
+    assert data.n_features == 2
+    np.testing.assert_array_equal(data.points.T, [[1, 2], [3, 4], [5, 6]])
+    assert data.points.T.flags.c_contiguous  # the layout BLAS products round by
+    np.testing.assert_array_equal(data.truth_memberships.T,
+                                  [[True, False], [True, True], [False, False]])
+    assert not data.truth_outliers.any()
+    assert data.truth_memberships.sum(axis=0).mean() == 1.0  # labels per record
 
 
 def test_load_class_column(tmp_path):
     path = tmp_path / "wbc-like.csv"
     path.write_text("1.0,2.0,4\n3.0,4.0,2\n5.0,6.0,4\n")
-    table = load_csv(path, "col:-1")
+    data = load_csv(path, "col:-1")
     # classes sorted by raw value: 2 -> 0, 4 -> 1
-    np.testing.assert_array_equal(table.labels, [[False, True], [True, False], [False, True]])
-    assert table.n_features == 2
+    np.testing.assert_array_equal(data.truth_memberships.T,
+                                  [[False, True], [True, False], [False, True]])
+    assert data.n_features == 2
+    assert data.points.T.flags.c_contiguous
 
 
 def test_load_unlabeled_with_header(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("x,y\n0.5,1.5\n2.5,3.5\n")
-    table = load_csv(path)
-    assert table.n_records == 2
-    assert table.labels.shape == (2, 0)
+    data = load_csv(path)
+    assert data.n_points == 2
+    assert data.truth_memberships.shape == (0, 2)
 
 
 def test_load_ragged_row_named(tmp_path):
@@ -87,9 +91,9 @@ def test_load_utf8_with_byte_order_mark(tmp_path, header):
     """A UTF-8 "with BOM" export keeps its first record, header or not."""
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + f"{header}1.0,0\n2.0,1\n3.0,0\n4.0,1\n".encode())
-    table = load_csv(path, "col:-1")
-    np.testing.assert_array_equal(table.rows, [[1.0], [2.0], [3.0], [4.0]])
-    np.testing.assert_array_equal(table.labels[:, 1], [False, True, False, True])
+    data = load_csv(path, "col:-1")
+    np.testing.assert_array_equal(data.points.T, [[1.0], [2.0], [3.0], [4.0]])
+    np.testing.assert_array_equal(data.truth_memberships[1], [False, True, False, True])
 
 
 def test_load_not_utf8_named(tmp_path):
@@ -105,7 +109,7 @@ def test_load_class_column_alone_is_refused(tmp_path, spec):
     path.write_text("0\n1\n0\n1\n")
     with pytest.raises(DataError, match="no feature column"):
         load_csv(path, spec)
-    assert load_csv(path).rows.shape == (4, 1)  # unlabeled, it is one feature
+    assert load_csv(path).points.shape == (1, 4)  # unlabeled, it is one feature
 
 
 def test_load_bad_indicator_value(tmp_path):
@@ -124,8 +128,8 @@ def test_roundtrip(tmp_path):
     path.write_text("".join(",".join([repr(float(v)) for v in row] + [str(int(b)) for b in bits])
                             + "\n" for row, bits in zip(rows, labels)))
     back = load_csv(path, "last:3")
-    np.testing.assert_array_equal(back.rows, rows)
-    np.testing.assert_array_equal(back.labels, labels)
+    np.testing.assert_array_equal(back.points.T, rows)
+    np.testing.assert_array_equal(back.truth_memberships.T, labels)
 
 
 @st.composite
@@ -187,7 +191,7 @@ def test_load_csv_reads_each_cell_as_float_does(tmp_path_factory, rows):
             load_csv(path)
     else:
         want = np.array([[float(cell) for cell in cells] for _, cells in numbered])
-        rows_read = load_csv(path).rows
+        rows_read = load_csv(path).points.T
         assert rows_read.shape == want.shape
         assert rows_read.tobytes() == want.tobytes()
 
@@ -195,9 +199,8 @@ def test_load_csv_reads_each_cell_as_float_does(tmp_path_factory, rows):
 # --- to_dataset ---------------------------------------------------------
 
 def test_to_dataset_outlier_classes():
-    table = LabeledTable(np.arange(8.0).reshape(4, 2),
-                         np.eye(3, dtype=bool)[[0, 1, 2, 1]])
-    ds = to_dataset(table, outlier_classes={2})
+    data = Dataset(np.arange(8.0).reshape(4, 2).T, np.eye(3, dtype=bool)[[0, 1, 2, 1]].T)
+    ds = to_dataset(data, outlier_classes={2})
     assert ds.truth_outliers.tolist() == [False, False, True, False]
     # inlier classes remapped to 0..k-1; the outlier is in no cluster
     np.testing.assert_array_equal(ds.truth_memberships,
@@ -206,29 +209,44 @@ def test_to_dataset_outlier_classes():
 
 
 def test_to_dataset_empty_outlier_set():
-    table = LabeledTable(np.ones((2, 1)), np.eye(2, dtype=bool))
-    ds = to_dataset(table)
+    data = Dataset(np.ones((1, 2)), np.eye(2, dtype=bool))
+    ds = to_dataset(data)
     assert not ds.truth_outliers.any()
 
 
 def test_to_dataset_all_classes_outliers_rejected():
-    table = LabeledTable(np.ones((2, 1)), np.eye(2, dtype=bool))
+    data = Dataset(np.ones((1, 2)), np.eye(2, dtype=bool))
     with pytest.raises(DataError):
-        to_dataset(table, outlier_classes={0, 1})
+        to_dataset(data, outlier_classes={0, 1})
 
 
 def test_to_dataset_unknown_outlier_class_rejected():
-    table = LabeledTable(np.ones((1, 1)), [[True]])
+    data = Dataset(np.ones((1, 1)), [[True]])
     with pytest.raises(DataError):
-        to_dataset(table, outlier_classes={7})
+        to_dataset(data, outlier_classes={7})
 
 
 def test_to_dataset_mixed_labels_policies(caplog):
-    table = LabeledTable(np.ones((1, 1)), [[True, True]])
-    ds = to_dataset(table, outlier_classes={1})
+    data = Dataset(np.ones((1, 1)), [[True], [True]])
+    ds = to_dataset(data, outlier_classes={1})
     assert not ds.truth_outliers[0]
     np.testing.assert_array_equal(ds.truth_memberships, [[True]])
     assert "1 records had mixed inlier/outlier labels" in caplog.text
+
+
+def test_to_dataset_keeps_the_outlier_flags_of_inject_noise():
+    """Noise points stay truth outliers beside the points of outlier classes."""
+    data = Dataset(np.arange(8.0).reshape(2, 4), np.eye(2, dtype=bool)[[0, 1, 0, 1]].T)
+    ds = to_dataset(inject_noise(data, 2, seed=0), outlier_classes={1})
+    assert ds.truth_outliers.tolist() == [False, True, False, True, True, True]
+    np.testing.assert_array_equal(ds.truth_memberships, [[True, False, True, False, False, False]])
+
+
+def test_dataset_without_truth_holds_empty_truth():
+    ds = Dataset(np.zeros((2, 3)))
+    assert ds.truth_memberships.shape == (0, 3) and ds.truth_memberships.dtype == bool
+    assert ds.truth_outliers.shape == (3,) and ds.truth_outliers.dtype == bool
+    assert not ds.truth_outliers.any()
 
 
 def test_dataset_truth_validation():
@@ -239,14 +257,9 @@ def test_dataset_truth_validation():
     with pytest.raises(ConfigError, match="boolean array"):
         Dataset(np.zeros((1, 2)), [[0, 1]])  # a per-point label, not a flag matrix
     with pytest.raises(ConfigError, match="boolean array"):
-        Dataset(np.zeros((1, 2)), None, [0, 1])
-
-
-def test_labeled_table_rejects_non_boolean_labels():
-    with pytest.raises(DataError, match="boolean array"):
-        LabeledTable(np.ones((3, 1)), [[0], [1], [0]])  # class indices, not flags
-    with pytest.raises(DataError, match="rectangular"):
-        LabeledTable(np.ones((2, 1)), [[True], [True, False]])
+        Dataset(np.zeros((1, 2)), truth_outliers=[0, 1])
+    with pytest.raises(ConfigError, match="rectangular"):
+        Dataset(np.zeros((1, 2)), [[True, False], [True]])
 
 
 # --- synthetic generation -----------------------------------------------
@@ -353,6 +366,12 @@ def test_inject_noise_degenerate_box():
     np.testing.assert_array_equal(noisy.points[:, 1], [3.0, 4.0])
 
 
+def test_inject_noise_without_truth():
+    noisy = inject_noise(Dataset(np.arange(6.0).reshape(2, 3)), 2, seed=0)
+    assert noisy.truth_memberships.shape == (0, 5)
+    assert noisy.truth_outliers.tolist() == [False, False, False, True, True]
+
+
 # --- standardize --------------------------------------------------------
 
 def test_standardize():
@@ -383,9 +402,6 @@ def test_standardize_feature_whose_statistics_overflow(column, scale):
 # --- input checks -------------------------------------------------------
 
 @pytest.mark.parametrize("make,match", [
-    (lambda: LabeledTable(np.zeros(3), np.zeros((3, 0), dtype=bool)), "2-d array"),
-    (lambda: LabeledTable(np.zeros((3, 2)), np.zeros((2, 1), dtype=bool)), "one row per record"),
-    (lambda: LabeledTable(np.zeros((3, 2)), np.zeros(3, dtype=bool)), "one row per record"),
     (lambda: inject_noise(generate_synthetic(), -1), "nonnegative"),
 ])
 def test_library_input_checks(make, match):

@@ -81,6 +81,18 @@ def test_objective_rtkm_half_weight():
     assert objective_rtkm(ds, [[2.0]], [[1.0]], [0.5]) == pytest.approx(2.0)
 
 
+def test_objective_overflow_raises_without_warning():
+    """A product of a weight and a squared distance that overflows raises
+    as an overflowing sum does."""
+    ds = Dataset([[0.0, 1.0, 2.0]])
+    for memberships, inliers in ((np.full((1, 3), 1e307), np.ones(3)),
+                                 (np.ones((1, 3)), np.full(3, 1e307))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                objective_rtkm(ds, [[10.0]], memberships, inliers)
+
+
 def test_objective_dimension_mismatch():
     ds = Dataset([[0.0, 1.0]])
     with pytest.raises(ConfigError):
@@ -874,7 +886,7 @@ def test_label_lists_write_as_the_list_form(s):
     (lambda: Dataset(np.zeros(3)), "m x N"),
     (lambda: Dataset(np.zeros((2, 0))), "m x N"),
     (lambda: Dataset([[0.0, np.nan]]), "non-finite"),
-    (lambda: Dataset(np.zeros((1, 3)), None, [False, True]), "length must equal N"),
+    (lambda: Dataset(np.zeros((1, 3)), truth_outliers=[False, True]), "length must equal N"),
     (lambda: SolverConfig(k=0), "k must be"),
     (lambda: SolverConfig(k=2, s=0), "1 <= s <= k"),
     (lambda: SolverConfig(k=2, s=3), "1 <= s <= k"),
@@ -893,6 +905,12 @@ def test_label_lists_write_as_the_list_form(s):
                         initial_centers=[[0.0]]), "initial_centers"),
     (lambda: fit_trimmed_kmeans(Dataset([[0.0, 1.0, 2.0]]), SolverConfig(k=2, s=2)),
      "s = 1"),
+    (lambda: hard_assign(np.eye(2)[:, [0, 1, 0, 1]], [0.1, 0.9, 0.5, 0.7], -0.5),
+     "must lie in"),
+    (lambda: hard_assign(np.eye(2)[:, [0, 1, 0, 1]], [0.1, 0.9, 0.5, 0.7], 1.5),
+     "must lie in"),
+    (lambda: hard_assign(np.eye(2)[:, [0, 1, 0, 1]], [0.1, 0.9, 0.5], 0.25),
+     "inlier vector length"),
 ])
 def test_library_input_checks(make, match):
     with pytest.raises(ConfigError, match=match):
