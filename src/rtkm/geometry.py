@@ -22,14 +22,19 @@ the shape (n, B) of the matrix:
   tau = css_rho for the last row rho with u_rho > css_rho.  It makes one
   pass down the rows, with the running sum, css and tau as vectors of B
   entries, so it pays per row, not per column.
-- Every other mass and shape (W steps with s > 1, the inlier vector v).
-  f is piecewise linear and nonincreasing with breakpoints
-  {y_j - 1, y_j}, so tau is found exactly by bisecting over the 2n sorted
-  breakpoints for the segment where f crosses s and interpolating on it
-  (Wang & Lu, "Projection onto the Capped Simplex", arXiv:1503.01002).
-  That costs a sort of 2n entries and about log2(2n) evaluations of f per
-  column, each a whole-matrix operation; a tall matrix or a long vector
-  takes it, since the row pass would loop over its many rows.
+- Every other mass and shape (W steps with s > 1, the inlier vector v; a
+  tall matrix or long vector, where the row pass would loop over many rows).
+  f is piecewise linear and nonincreasing with breakpoints {y_j - 1, y_j}.
+  The search bisects over the 2n sorted breakpoints for the segment where f
+  crosses s and interpolates on it (Wang & Lu, arXiv:1503.01002): a sort of
+  2n entries and about log2(2n) evaluations of f, each a whole-matrix
+  operation.  At an integer mass j, a column whose j-th and (j+1)-th largest
+  entries a and c have c <= t1 = a - 1 (as rounded) skips it: the search
+  returns t1 if f(t1) >= j > f at the next breakpoint above t1 (a, or u - 1
+  for one of the j largest u), and c if f(c) >= j > f(t1).  f is the
+  search's own sum over rows in the frame's memory order, so it is monotone
+  as computed and those two values prove the search's bits, down to its
+  1 - 2**-53 for an exact 1 when t1 rounds up.  Other columns still search.
 """
 
 import numpy as np
@@ -58,14 +63,41 @@ def _project_simplex(Y, mass):
     return frame, tau
 
 
+def _clipped_sums(z, tau, scratch):  # over rows in z's memory order: monotone in tau
+    return np.clip(np.subtract(z, tau, out=scratch), 0.0, 1.0, out=scratch).sum(axis=0)
+
+
 def _bisect_capped(Y, mass):
-    """(frame, tau) by bisection over the breakpoints."""
+    """(frame, tau): settled where two values of f prove a vertex, else searched."""
     n, b = Y.shape
     top = Y.max(axis=0)
     z = np.subtract(Y, top)
     # an entry whose distance to top overflowed (under over="ignore") is
     # -inf, and -inf - -inf is nan: hold it at -max, which clips to 0 too
     np.maximum(z, -np.finfo(float).max, out=z)
+    rest = np.arange(b)
+    if float(mass).is_integer():
+        j = int(mass)
+        part = np.partition(z, n - j - 1, axis=0)  # one kth: two cost 4x at n = 14
+        c, a = part[n - j - 1], part[n - j:].min(axis=0)
+        t1, up = a - 1.0, part[n - j:] - 1.0
+        scratch = np.empty_like(z)
+        at_t1 = _clipped_sums(z, t1, scratch) >= mass
+        above = np.minimum(a, up.min(axis=0, initial=np.inf, where=up > t1))
+        probe = _clipped_sums(z, np.where(at_t1, above, c), scratch) >= mass
+        tau, rest = np.where(at_t1, t1, c), np.flatnonzero((c > t1) | (at_t1 == probe))
+    if rest.size == b:
+        return z, _search(z, mass)
+    if rest.size:  # in z's order, and never one C column alone, which would sum pairwise
+        rest = np.resize(rest, max(rest.size, 2))
+        sub = np.asarray(z[:, rest], order="F" if z.flags.f_contiguous else "C")
+        tau[rest] = _search(sub, mass)
+    return z, tau
+
+
+def _search(z, mass):
+    """tau of each column of the frame z by bisection over its breakpoints."""
+    n, b = z.shape
     bps = np.empty((2 * n, b))
     np.subtract(z, 1.0, out=bps[:n])
     bps[n:] = z
@@ -74,31 +106,27 @@ def _bisect_capped(Y, mass):
     cols = np.arange(b)
     scratch = np.empty_like(z)  # each evaluation of f
 
-    def f(tau):  # summed over rows in order, so each column's f is monotone
-        np.subtract(z, tau, out=scratch)
-        np.clip(scratch, 0.0, 1.0, out=scratch)
-        return scratch.sum(axis=0)
-
     # Largest breakpoint index with f >= mass: f(bps[0]) = n, f(bps[-1]) = 0.
     lo = np.zeros(b, dtype=np.intp)
     hi = np.full(b, 2 * n - 1, dtype=np.intp)
     while np.any(hi - lo > 1):
         mid = (lo + hi) // 2
-        ge = f(flat[mid * b + cols]) >= mass
+        ge = _clipped_sums(z, flat[mid * b + cols], scratch) >= mass
         np.copyto(lo, mid, where=ge)
         np.copyto(hi, mid, where=~ge)
     tau0 = flat[lo * b + cols]
-    f0 = f(tau0)
+    f0 = _clipped_sums(z, tau0, scratch)
     np.subtract(z, 1.0, out=scratch)
     active = np.count_nonzero((scratch <= tau0) & (z > tau0), axis=0)
-    return z, np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
+    return np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
 
 
 def project_columns(Y, mass: float) -> np.ndarray:
     """Project every column of an (n, B) matrix onto the mass-capped simplex.
 
-    Exact in O(nB log n) time and O(nB) memory, on the calling thread;
-    raises on non-finite input or a mass outside [0, n].
+    Exact in O(nB log n) time and O(nB) memory, on the calling thread; a
+    column settled at a vertex costs a partition and two sums, not the
+    search.  Raises on non-finite input or a mass outside [0, n].
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:

@@ -335,11 +335,13 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
     lowest index; the weights must be finite);
     s>1 to every cluster with weight above SUPPORT_EPS.  The [alpha*N]
     points of smallest v (ties to the lowest index) are flagged as outliers
-    and assigned to no cluster.  alpha must lie in [0, 1) and v have N
-    entries.
+    and assigned to no cluster.  W must be a (k, N) matrix, s lie in
+    [1, k], alpha in [0, 1), and v have N entries.
     """
     w = np.asarray(memberships, dtype=float)
     v = np.asarray(inliers, dtype=float)
+    if w.ndim != 2 or not 1 <= s <= len(w):
+        raise ConfigError("memberships must be a (k, N) matrix and 1 <= s <= k")
     k, n = w.shape
     if not 0.0 <= alpha < 1.0:
         raise ConfigError("alpha must lie in [0, 1)")

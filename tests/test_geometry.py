@@ -318,3 +318,82 @@ def test_projection_is_exactly_translation_invariant(inputs):
     exact does not change, so neither do the output's bits."""
     Y, c, mass = inputs
     _assert_same_bits(project_columns(Y + c, mass), project_columns(Y, mass))
+
+
+def _raised_columns(rng, n, b, mass, raise_by, base):
+    """(n, b) columns whose `mass` largest entries sit raise_by above a base
+    of -1 give or take 3 ulps, of a grid of eighths or of small noise.  The
+    first two make ties; the first also makes columns whose vertex a
+    rounding in a - 1 or in f decides."""
+    if base == "ulps":
+        Y = -1.0 + rng.integers(-3, 4, (n, b)) * np.spacing(1.0)
+    elif base == "grid":
+        Y = rng.integers(-4, 1, (n, b)) / 8
+    else:
+        Y = rng.normal(0.0, 0.1, (n, b))
+    for col in range(b):
+        Y[rng.permutation(n)[:mass], col] += raise_by
+    return Y
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("base", ["ulps", "grid", "noise"])
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 5.0])
+def test_vertex_columns_match_reference_bit_for_bit(delta, base, order):
+    """Columns whose j largest entries are raised by 1 + delta, give or take
+    2 ulps, sit on or near a vertex, where the projection settles most of
+    them without the search; it must still give the search's bits."""
+    rng = np.random.default_rng(int(delta * 1000) + len(base))
+    for _ in range(40):
+        n = int(rng.integers(2, 25))
+        b = int(rng.integers(1, 30))
+        mass = int(rng.integers(1, n))
+        raise_by = 1.0 + delta + int(rng.integers(-2, 3)) * np.spacing(1.0 + delta)
+        Y = np.asarray(_raised_columns(rng, n, b, mass, raise_by, base), order=order)
+        _assert_same_bits(project_columns(Y, float(mass)),
+                          _reference_project_columns(Y, float(mass)))
+
+
+@pytest.mark.parametrize("n_points", [2000, 5000, 12000])
+def test_inlier_step_shapes_match_reference_bit_for_bit(n_points):
+    """The v step: one long column with a mass near its length, on or near
+    a vertex (outliers pushed down by 1 and more) and away from one."""
+    rng = np.random.default_rng(n_points)
+    for n_out in (1, n_points // 100, n_points // 20):
+        mass = float(n_points - n_out)
+        y = 1.0 - rng.uniform(0.0, 0.2, n_points)
+        for drop in (1.0, 1.0 + 1e-3, 3.0, 0.1):
+            v = y.copy()
+            v[rng.permutation(n_points)[:n_out]] -= drop
+            _assert_same_bits(project_mass(v, mass),
+                              _reference_project_columns(v[:, None], mass)[:, 0])
+
+
+def test_vertex_keeps_the_searchs_rounding():
+    """At a vertex the exact projection is 0/1, but the search returns
+    tau = a - 1 as rounded: here it rounds up to -1, so the entry a = -3 *
+    2**-55 gets 1 - 2**-53, and f(tau) still sums to the mass.  Writing
+    exact 0/1 on vertex columns would change these bits."""
+    Y = np.array([[0.0], [-3 * 2.0**-55], [-2.0], [-3.0]])
+    W = project_columns(Y, 2.0)
+    _assert_same_bits(W, _reference_project_columns(Y, 2.0))
+    assert W[:, 0].tolist() == [1.0, 1.0 - 2.0**-53, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("searched", [1, 9])
+def test_columns_that_do_not_settle_fall_back_to_the_search(monkeypatch, order, searched):
+    """Columns off a vertex are gathered for the search in the input's
+    memory order, so their sums of 40 rows keep their bits: a C-ordered
+    column alone would be summed pairwise, the others in row order."""
+    rng = np.random.default_rng(searched)
+    Y = _raised_columns(rng, 40, 20, 3, 5.0, "noise")
+    Y[:, rng.permutation(20)[:searched]] = rng.normal(0.0, 1.0, (40, searched))
+    Y = np.asarray(Y, order=order)
+    widths = []
+    search = geometry._search
+    monkeypatch.setattr(geometry, "_search",
+                        lambda z, mass: widths.append(z.shape[1]) or search(z, mass))
+    W = project_columns(Y, 3.0)
+    assert widths == [max(searched, 2)]
+    _assert_same_bits(W, _reference_project_columns(Y, 3.0))

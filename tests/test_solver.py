@@ -911,6 +911,9 @@ def test_label_lists_write_as_the_list_form(s):
      "must lie in"),
     (lambda: hard_assign(np.eye(2)[:, [0, 1, 0, 1]], [0.1, 0.9, 0.5], 0.25),
      "inlier vector length"),
+    (lambda: hard_assign(np.ones((2, 3)), np.ones(3), 0.0, 0), "1 <= s <= k"),
+    (lambda: hard_assign(np.ones((2, 3)), np.ones(3), 0.0, 3), "1 <= s <= k"),
+    (lambda: hard_assign(np.ones(3), np.ones(3), 0.0), "matrix"),
 ])
 def test_library_input_checks(make, match):
     with pytest.raises(ConfigError, match=match):
