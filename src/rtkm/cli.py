@@ -158,9 +158,11 @@ def load_dataset(args):
 def _load_csv_dataset(args):
     outlier_classes = args.outlier_classes or frozenset()
     dataset = datamod.to_dataset(datamod.load_csv(args.data, args.labels), outlier_classes)
+    digest = hashlib.sha256()
     with open(args.data, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return dataset, {"path": args.data, "sha256": digest, "labels": args.labels,
+        for chunk in iter(lambda: fh.read(1 << 20), b""):  # never the whole file at once
+            digest.update(chunk)
+    return dataset, {"path": args.data, "sha256": digest.hexdigest(), "labels": args.labels,
                      "outlier_classes": sorted(outlier_classes)}
 
 

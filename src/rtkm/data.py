@@ -3,7 +3,7 @@ noise injection."""
 
 import csv
 import logging
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -43,37 +43,56 @@ def load_csv(path, label_spec=None) -> Dataset:
     parse_label_spec).  A record may have any number of classes, none
     included; no record is a truth outlier.  Malformed rows raise
     DataError naming the offending row.
+
+    Each record is parsed into the float table as it is read, so the load
+    holds the table and one record at a time, not every cell as text.
     """
     label_spec = parse_label_spec(label_spec)
-    # utf-8-sig drops the byte order mark that a UTF-8 "with BOM" export
-    # puts first; left in the first cell, it made that record a header
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            raw = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), 1)
-                   if row and any(cell.strip() for cell in row)]
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    if not raw:
-        raise DataError(f"{path}: no data rows")
-    if not _all_numeric(raw[0][1]):
-        raw = raw[1:]  # header row
-        if not raw:
-            raise DataError(f"{path}: no data rows after header")
+    with _open_csv(path) as fh:
+        records = _records(path, fh)
+        first = next(records, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
+        header = not all(map(_is_number, first[1]))
+        if header:
+            first = next(records, None)
+            if first is None:
+                raise DataError(f"{path}: no data rows after header")
+        width = len(first[1])
+        last, error = first, None
 
-    width = len(raw[0][1])
-    if any(len(cells) != width for _, cells in raw):
-        raise _row_error(path, raw, width)
-    # every cell goes through float(), as in the row-by-row loop of _row_error
-    cells = chain.from_iterable(row for _, row in raw)
-    try:
-        table = np.fromiter(map(float, cells), dtype=float, count=len(raw) * width)
-    except ValueError:
-        raise _row_error(path, raw, width) from None
-    table = table.reshape(len(raw), width)
-    bad = ~np.isfinite(table)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise DataError(f"{path}: row {raw[r][0]}, column {c}: "
+        def rows():
+            # each record is checked, numbered and dropped as the table takes it
+            nonlocal last, error
+            for last in chain([first], records):
+                if len(last[1]) != width:
+                    error = DataError(f"{path}: row {last[0]} has {len(last[1])} fields, "
+                                      f"expected {width}")
+                    return
+                yield last[1]
+
+        try:
+            table = np.fromiter(map(float, chain.from_iterable(rows())), dtype=float)
+        except DataError:  # the file could not be read on
+            raise
+        except ValueError:
+            number, cells = last
+            col, cell = next((col, cell) for col, cell in enumerate(cells)
+                             if not _is_number(cell))
+            error = DataError(f"{path}: row {number}, column {col}: "
+                              f"non-numeric value {cell.strip()!r}")
+        if error is not None:
+            # a reading error further on wins, as it did when the whole file
+            # was read before any cell
+            for _ in records:
+                pass
+            raise error
+
+    table = table.reshape(-1, width)
+    finite = np.isfinite(table)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DataError(f"{path}: row {_record_number(path, int(r), header)}, column {c}: "
                         f"non-finite value {float(table[r, c])!r}")
 
     # points are the transpose of a C-ordered (N, m) table: a BLAS product's
@@ -98,29 +117,42 @@ def load_csv(path, label_spec=None) -> Dataset:
     bad = (block != 0.0) & (block != 1.0)
     if bad.any():
         r, c = np.argwhere(bad)[0]
-        raise DataError(
-            f"{path}: row {raw[r][0]}: indicator column value {float(block[r, c])} is not 0/1")
+        raise DataError(f"{path}: row {_record_number(path, int(r), header)}: "
+                        f"indicator column value {float(block[r, c])} is not 0/1")
     return Dataset(np.ascontiguousarray(table[:, : width - arg]).T, block.T == 1.0)
 
 
-def _row_error(path, raw, width):
-    """The DataError for the first row, in file order, that has other than
-    width fields or a cell that float() refuses."""
-    for lineno, cells in raw:
-        if len(cells) != width:
-            return DataError(f"{path}: row {lineno} has {len(cells)} fields, expected {width}")
-        for col, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                return DataError(f"{path}: row {lineno}, column {col}: "
-                                 f"non-numeric value {cell.strip()!r}")
+def _open_csv(path):
+    # utf-8-sig drops the byte order mark that a UTF-8 "with BOM" export
+    # puts first; left in the first cell, it made that record a header
+    return open(path, newline="", encoding="utf-8-sig")
 
 
-def _all_numeric(cells):
+def _records(path, fh):
+    """(record number from 1, cells) of each record of the CSV file fh that
+    has a non-blank cell.  Text that is not UTF-8 and a record that csv
+    refuses raise DataError."""
+    number = 0
     try:
-        for cell in cells:
-            float(cell)
+        for number, cells in enumerate(csv.reader(fh), 1):
+            if any(cell.strip() for cell in cells):
+                yield number, cells
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {number + 1}: {exc}") from None
+
+
+def _record_number(path, row, header):
+    """The record number of table row `row` (from 0) of a file that load_csv
+    has read through, found by reading it again: the table keeps none."""
+    with _open_csv(path) as fh:
+        return next(islice(_records(path, fh), row + header, None))[0]
+
+
+def _is_number(cell):
+    try:
+        float(cell)
     except ValueError:
         return False
     return True

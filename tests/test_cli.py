@@ -424,6 +424,9 @@ EXIT_CASES = {
                                    "--data", _csv(t, "1,0\n2,1\n", b"\xff"),
                                    "--labels", "col:-1", "--k", "1",
                                    "--out", str(t / "r.json")]),
+    "csv-field-too-large": (3, lambda t: ["fit", "--algorithm", "kmeans",
+                                          "--data", _csv(t, f"1.0,{'1' * 200000}\n3.0,4.0\n"),
+                                          "--k", "1", "--out", str(t / "r.json")]),
     # a class column and no feature column
     "csv-no-features": (3, lambda t: ["fit", "--algorithm", "kmeans",
                                       "--data", _csv(t, "0\n1\n0\n1\n"),

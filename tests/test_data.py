@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,46 +156,115 @@ def _non_numeric(cell):
     return False
 
 
+BLANK_RECORDS = ([], ["", "", ""], [" ", " "])  # written as "", ",," and " , "
+
+
 @st.composite
 def _csv_grid(draw):
-    """(lines of cells, row number of the header or None); some cells may
-    be replaced by text that float() refuses."""
+    """Records of cells, maybe starting with a header: some cells may be
+    replaced by text that float() refuses or by a non-finite value, blank
+    records may stand between the others, and one record may have a cell
+    too many or too few."""
     width = draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(_numeric_cell(), min_size=width, max_size=width),
                          min_size=1, max_size=6))
     for _ in range(draw(st.integers(0, 2))):
         r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
-        rows[r][c] = draw(st.sampled_from(["x", "1..5", "1e", "_1", "1_", "0x10", "one"]))
+        rows[r][c] = draw(st.sampled_from(["x", "1..5", "1e", "_1", "1_", "0x10", "one",
+                                           "nan", "-inf", "1e999"]))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, len(rows) - 1))
+        if width > 1 and draw(st.booleans()):
+            rows[r] = rows[r][:-1]
+        else:
+            rows[r] = rows[r] + [draw(_numeric_cell())]
     if draw(st.booleans()):
         rows.insert(0, [f"f{c}" for c in range(width)])
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(BLANK_RECORDS))))
     return rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(_csv_grid())
 def test_load_csv_reads_each_cell_as_float_does(tmp_path_factory, rows):
-    """The table holds float(cell) bit for bit, and a non-numeric cell is
-    named by the row and column that a cell-by-cell reading finds first
-    (a first row with such a cell is a header)."""
+    """The table holds float(cell) bit for bit.  The first record, in file
+    order, with a field count other than the first data record's or with a
+    cell that float() refuses is named by its record number (blank records
+    count) and column; so is the first non-finite value of a table without
+    either.  A first non-blank record with a cell that float() refuses is a
+    header."""
     path = tmp_path_factory.mktemp("csv") / "grid.csv"
     path.write_text("".join(",".join(cells) + "\n" for cells in rows))
-    numbered = list(enumerate(rows, 1))
-    if any(map(_non_numeric, rows[0])):
+    numbered = [(number, cells) for number, cells in enumerate(rows, 1)
+                if any(cell.strip() for cell in cells)]
+    if any(map(_non_numeric, numbered[0][1])):
         numbered = numbered[1:]
-    bad = [(lineno, col) for lineno, cells in numbered
-           for col, cell in enumerate(cells) if _non_numeric(cell)]
     if not numbered:
         with pytest.raises(DataError, match="no data rows after header"):
             load_csv(path)
-    elif bad:
-        lineno, col = bad[0]
-        with pytest.raises(DataError, match=f"row {lineno}, column {col}: non-numeric"):
+        return
+    width = len(numbered[0][1])
+    for number, cells in numbered:
+        if len(cells) != width:
+            with pytest.raises(DataError, match=f"row {number} has {len(cells)} fields, "
+                                                f"expected {width}"):
+                load_csv(path)
+            return
+        bad = [col for col, cell in enumerate(cells) if _non_numeric(cell)]
+        if bad:
+            with pytest.raises(DataError, match=f"row {number}, column {bad[0]}: non-numeric"):
+                load_csv(path)
+            return
+    want = np.array([[float(cell) for cell in cells] for _, cells in numbered])
+    if not np.isfinite(want).all():
+        r, c = np.argwhere(~np.isfinite(want))[0]
+        with pytest.raises(DataError, match=f"row {numbered[r][0]}, column {c}: non-finite"):
             load_csv(path)
-    else:
-        want = np.array([[float(cell) for cell in cells] for _, cells in numbered])
-        rows_read = load_csv(path).points.T
-        assert rows_read.shape == want.shape
-        assert rows_read.tobytes() == want.tobytes()
+        return
+    rows_read = load_csv(path).points.T
+    assert rows_read.shape == want.shape
+    assert rows_read.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["1,oops", "1"])
+def test_load_reports_invalid_utf8_after_an_earlier_bad_record(tmp_path, fault):
+    """Text that is not UTF-8 in record 5 wins over a non-numeric cell or a
+    missing field in record 2, also when that text lies beyond the part of
+    the file read before record 2 is parsed."""
+    record = ",".join(["1.0"] * 2000)
+    path = tmp_path / "late.csv"
+    path.write_bytes(f"{record},1\n{fault}\n{record},1\n{record},1\n".encode()
+                     + b"2.\xff0,1\n")
+    assert path.read_bytes().index(b"\xff") > 3 * len(record)  # several read chunks on
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("prefix", ["", "x,y\n1,2\n"])
+def test_load_names_the_record_with_an_oversized_field(tmp_path, prefix):
+    path = tmp_path / "big.csv"
+    path.write_text(f"{prefix}\n1.0,{'1' * 200000}\n3.0,4.0\n")
+    record = prefix.count("\n") + 2
+    with pytest.raises(DataError, match=f"big.csv: row {record}: field larger than field limit"):
+        load_csv(path)
+
+
+def test_load_peak_memory_is_near_the_table(tmp_path):
+    """Cells are parsed as their records are read: the load's peak traced
+    allocation stays below 4x the float table (holding every cell as a
+    Python string first took about 10x)."""
+    rows = np.random.default_rng(0).normal(size=(3000, 40))
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+    tracemalloc.start()
+    try:
+        data = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.points.T.tobytes() == rows.tobytes()
+    assert peak < 4 * rows.nbytes
 
 
 # --- to_dataset ---------------------------------------------------------
