@@ -7,13 +7,14 @@ with the columns of W constrained to the s-capped simplex and, for RTKM,
 the inlier vector v constrained to the (N - [alpha*N])-capped simplex.
 The relaxed solver and RTKM use proximal (projected) block updates for W
 and v with fixed step divisors d, e > 1; the center update is the exact
-weighted mean.  Two engines run the four solvers: the hard engine
-(_hard_fit) runs k-means and trimmed k-means, the soft engine (_pam_fit)
-runs relaxed k-means and RTKM.
+weighted mean.  One driver (_descend) runs the four solvers on two step
+kinds: the hard step (_hard_fit) of k-means and trimmed k-means, and the
+soft step (_pam_fit) of relaxed k-means and RTKM.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+import numbers
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -112,6 +113,11 @@ class SolverConfig:
     w_init: str = "random"
 
     def __post_init__(self):
+        for field in fields(self):  # an int field takes no bool, a float field any real
+            value = getattr(self, field.name)
+            kind = {int: numbers.Integral, float: numbers.Real}.get(field.type, field.type)
+            if not isinstance(value, kind) or field.type is int and isinstance(value, bool):
+                raise ConfigError(f"{field.name} must be {field.type.__name__}, not {value!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if not 1 <= self.s <= self.k:
@@ -328,7 +334,7 @@ def _update_centers(C, X, labels):
 
 
 def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: int = 1):
-    """Extract final assignments from converged (W, v) of the soft engine.
+    """Extract final assignments from the (W, v) of a fit of either engine.
 
     Returns a (k, N) boolean assignment matrix and the (N,) outlier flags.
     s=1 assigns each point to its cluster of largest weight (ties to the
@@ -357,55 +363,58 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
     return assigned, flags
 
 
+def _descend(steps, max_iters, trace):
+    """Run each phase's step up to max_iters times, appending the objective
+    it returns to trace, until it also returns a reason to stop (at a fixed
+    point).  Returns FitResult's (iterations, converged, stop_reason)."""
+    first = len(trace)
+    for step in steps:
+        for _ in range(max_iters):
+            objective, reason = step()
+            trace.append(objective)
+            if reason:
+                break
+        else:
+            reason = "max_iters"
+    return len(trace) - first, reason != "max_iters", reason
+
+
 def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) -> FitResult:
     """The hard engine.  A Lloyd phase with nothing trimmed alternates
     nearest-center assignment and mean updates; with trim, a trimming phase
-    follows in which each step first trims the [alpha*N] points furthest from
-    their centers and updates the centers from the rest.  Each phase stops
-    when its partition repeats or after max_iters steps."""
+    follows whose steps first trim the [alpha*N] points furthest from their
+    centers.  A phase stops when its partition repeats.  W is one-hot on the
+    nearest centers (the trimmed points' too), v is 0 on the trimmed points."""
+    if config.s != 1:
+        raise ConfigError(f"{'trimmed k-means' if trim else 'k-means'} requires s = 1")
     X = data.points
     n, k = data.n_points, config.k
-    cols = np.arange(n)
+    alpha = config.alpha if trim else 0.0
+    if trim and k > n - trim_count(alpha, n):
+        raise ConfigError("k exceeds the number of untrimmed points")
     C = _start_centers(data, config, initial_centers, np.random.default_rng(config.seed))
     distances = _distances_to(X, np.empty((k, n)))
     assign, nearest = _first_extreme(distances(C), np.minimum)
     trimmed = np.zeros(n, dtype=bool)
+    stable = "partition_stable" if trim else "assignments_stable"
+
+    def step(n_trim):
+        nonlocal assign, nearest, trimmed
+        # nearest holds the distances to the current centers
+        new_trimmed = _smallest(-nearest, n_trim)
+        _update_centers(C, X, np.where(new_trimmed, k, assign))
+        new_assign, nearest = _first_extreme(distances(C), np.minimum)
+        repeated = np.array_equal(new_assign, assign) and np.array_equal(new_trimmed, trimmed)
+        assign, trimmed = new_assign, new_trimmed
+        return float(_total(nearest[~trimmed])), stable if repeated else None
+
     trace = [float(_total(nearest))]
-    iters = 0
-    phases = (0, trim_count(config.alpha, n)) if trim else (0,)
-    for n_trim in phases:
-        converged = False
-        for _ in range(config.max_iters):
-            iters += 1
-            # nearest holds the distances to the current centers
-            new_trimmed = _smallest(-nearest, n_trim)
-            _update_centers(C, X, np.where(new_trimmed, k, assign))
-            new_assign, nearest = _first_extreme(distances(C), np.minimum)
-            trace.append(float(_total(nearest[~new_trimmed])))
-            converged = (np.array_equal(new_assign, assign)
-                         and np.array_equal(new_trimmed, trimmed))
-            assign, trimmed = new_assign, new_trimmed
-            if converged:
-                break
-    reason = "max_iters"
-    if converged:
-        reason = "partition_stable" if trim else "assignments_stable"
-    assigned = np.zeros((k, n), dtype=bool)
-    assigned[assign, cols] = True
-    W = assigned.astype(float)  # W keeps the trimmed points' clusters
-    assigned[:, trimmed] = False
-    return FitResult(C, W, (~trimmed).astype(float), assigned, trimmed, tuple(trace),
-                     iters, converged, reason)
-
-
-def _initial_weights(distances, C0, n, config, rng):
-    if config.w_init == "random":
-        return project_columns(rng.random((config.k, n)), float(config.s))
-    order = np.argsort(distances(C0), axis=0, kind="stable")  # "hard": the s nearest
-    W = np.zeros((config.k, n))
-    for r in range(config.s):
-        W[order[r], np.arange(n)] = 1.0
-    return W
+    phases = (0, trim_count(alpha, n)) if trim else (0,)
+    run = _descend([partial(step, n_trim) for n_trim in phases], config.max_iters, trace)
+    W = np.zeros((k, n))
+    W[assign, np.arange(n)] = 1.0
+    v = (~trimmed).astype(float)
+    return FitResult(C, W, v, *hard_assign(W, v, alpha), tuple(trace), *run)
 
 
 def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=None) -> FitResult:
@@ -422,46 +431,40 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
     C = _start_centers(data, config, initial_centers, rng)
     v = np.full(n, inlier_mass / n)
     distances = _distances_to(X, np.empty((k, n)))  # the buffer G lives in
-    W = _initial_weights(distances, C, n, config, rng)
+    if config.w_init == "random":
+        W = project_columns(rng.random((k, n)), float(s))
+    else:  # "hard": 1 on each point's s nearest start centers
+        W = np.zeros((k, n))
+        np.put_along_axis(W, np.argsort(distances(C), axis=0, kind="stable")[:s], 1.0, axis=0)
     work = np.empty((k, n))  # each (k, N) temporary of an iteration in turn
-
     trace = []
-    prev_obj = None
-    converged = False
-    reason = "max_iters"
-    iters = 0
-    for iters in range(1, config.max_iters + 1):
+
+    def step():
+        nonlocal C, W, v
         vw = np.multiply(v, W, out=work)
         den = vw.sum(axis=1)
-        num = X @ vw.T
         ok = den > 0.0
-        C = np.where(ok[None, :], num / np.where(ok, den, 1.0)[None, :], C)
+        C = np.where(ok, (X @ vw.T) / np.where(ok, den, 1.0), C)
         G = distances(C)
-        step = np.multiply(v, G, out=work)
-        step /= config.step_d
-        np.subtract(W, step, out=work)
+        update = np.multiply(v, G, out=work)
+        update /= config.step_d
+        np.subtract(W, update, out=work)
         del W  # freed before the projection allocates its output
         W = project_columns(work, float(s))
         per_point = _total(np.multiply(W, G, out=work), axis=0)  # finite for the v step
         if n_out > 0:
             v = project_mass(v - per_point / config.step_e, float(inlier_mass))
         obj = float(_total(v * per_point))
-        trace.append(obj)
-        if prev_obj is not None and abs(prev_obj - obj) <= config.tol * max(1.0, prev_obj):
-            converged = True
-            reason = "objective_stationary"
-            break
-        prev_obj = obj
+        stationary = trace and abs(trace[-1] - obj) <= config.tol * max(1.0, trace[-1])
+        return obj, "objective_stationary" if stationary else None
 
-    assigned, flags = hard_assign(W, v, alpha, s=s)
-    return FitResult(C, W, v, assigned, flags, tuple(trace), iters, converged, reason)
+    run = _descend([step], config.max_iters, trace)
+    return FitResult(C, W, v, *hard_assign(W, v, alpha, s), tuple(trace), *run)
 
 
 def fit_kmeans(data: Dataset, config: SolverConfig, initial_centers=None) -> FitResult:
     """Lloyd's algorithm: alternate nearest-center assignment and mean
     updates until the assignment repeats or max_iters."""
-    if config.s != 1:
-        raise ConfigError("k-means requires s = 1")
     return _hard_fit(data, config, initial_centers, trim=False)
 
 
@@ -481,10 +484,6 @@ def fit_trimmed_kmeans(data: Dataset, config: SolverConfig, initial_centers=None
     """Staged baseline: run standard k-means, then repeat {trim the
     [alpha*N] points furthest from their centers, recompute centers from
     the remainder, reassign} until the partition stabilizes."""
-    if config.s != 1:
-        raise ConfigError("trimmed k-means requires s = 1")
-    if config.k > data.n_points - trim_count(config.alpha, data.n_points):
-        raise ConfigError("k exceeds the number of untrimmed points")
     return _hard_fit(data, config, initial_centers, trim=True)
 
 

@@ -880,6 +880,35 @@ def test_label_lists_write_as_the_list_form(s):
     assert res.hard_assignments == tuple(map(frozenset, as_lists))
 
 
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("max_iters", [2, 500])
+def test_every_solver_keeps_the_drivers_contract(name, max_iters):
+    """On the README spec: the hard trace opens with the start objective
+    and the soft trace does not; converged means a fixed point, not the
+    cap; each phase runs at most max_iters steps; and the assignments and
+    outlier flags are hard_assign's of (W, v)."""
+    ds = generate_synthetic(k=3, points=50, outliers=2, seed=42)
+    soft = name in ("relaxed", "rtkm")
+    config = SolverConfig(k=3, s=2 if soft else 1, alpha=2 / 152, max_iters=max_iters)
+    res = ALGORITHMS[name](ds, config)
+    assert len(res.objective_trace) == res.iterations + (0 if soft else 1)
+    assert res.converged == (res.stop_reason != "max_iters")
+    assert res.iterations <= (2 if name == "trimmed" else 1) * max_iters
+    if name == "rtkm" and max_iters == 2:
+        assert res.iterations == max_iters
+    alpha = config.alpha if name in ("rtkm", "trimmed") else 0.0
+    assigned, flags = hard_assign(res.memberships, res.inliers, alpha, config.s)
+    np.testing.assert_array_equal(res.assignments, assigned)
+    np.testing.assert_array_equal(res.outlier_flags, flags)
+
+
+def test_config_takes_numpy_scalars():
+    ds = generate_synthetic(k=3, points=20, outliers=2, seed=1)
+    config = SolverConfig(k=np.int64(3), s=np.int32(2), alpha=np.float32(0.05),
+                          step_d=np.float64(1.5), max_iters=np.int16(5), seed=np.uint8(1))
+    assert fit_rtkm(ds, config).iterations <= 5
+
+
 # --- input checks -------------------------------------------------------
 
 @pytest.mark.parametrize("make,match", [
@@ -893,6 +922,18 @@ def test_label_lists_write_as_the_list_form(s):
     (lambda: SolverConfig(k=2, alpha=1.0), "alpha"),
     (lambda: SolverConfig(k=2, alpha=-0.1), "alpha"),
     (lambda: SolverConfig(k=2, max_iters=0), "max_iters"),
+    (lambda: SolverConfig(k=2.5), "k must be int, not 2.5"),
+    (lambda: SolverConfig(k=True), "k must be int, not True"),
+    (lambda: SolverConfig(k=2, s=1.5), "s must be int"),
+    (lambda: SolverConfig(k=2, s=True), "s must be int"),
+    (lambda: SolverConfig(k=2, max_iters=2.5), "max_iters must be int"),
+    (lambda: SolverConfig(k=2, max_iters=True), "max_iters must be int"),
+    (lambda: SolverConfig(k=2, seed=1.5), "seed must be int"),
+    (lambda: SolverConfig(k=2, seed=False), "seed must be int"),
+    (lambda: SolverConfig(k=2, alpha="0.1"), "alpha must be float, not '0.1'"),
+    (lambda: SolverConfig(k=2, tol="0"), "tol must be float"),
+    (lambda: SolverConfig(k=2, step_d="2"), "step_d must be float"),
+    (lambda: SolverConfig(k=2, step_e=None), "step_e must be float"),
     (lambda: SolverConfig(k=2, init="bogus"), "init"),
     (lambda: SolverConfig(k=2, w_init="bogus"), "w_init"),
     (lambda: objective_rtkm(Dataset([[0.0, 1.0]]), [0.0], [[1.0, 1.0]], np.ones(2)),
