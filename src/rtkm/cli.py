@@ -314,12 +314,15 @@ def read_result(path, n_points):
         raise datamod.DataError(f"{path}: k must be an integer in [1, {n_points}], not {k!r}")
     if not isinstance(hard, list) or len(hard) != n_points:
         raise datamod.DataError(f"{path}: hard_assignments must list {n_points} label lists")
-    index = np.asarray(outliers)  # true and false among integers give integers
-    if index.size and (index.ndim != 1 or index.dtype.kind not in "iu"
-                       or bool in set(map(type, outliers))
-                       or index.min() < 0 or index.max() >= n_points):
-        raise datamod.DataError(
-            f"{path}: outlier_indices must be integers in [0, {n_points})")
+    bad = datamod.DataError(f"{path}: outlier_indices must be integers in [0, {n_points})")
+    try:
+        index = np.asarray(outliers)  # true and false among integers give integers
+    except ValueError:  # ragged nesting
+        raise bad from None
+    if index.ndim != 1 or index.size and (index.dtype.kind not in "iu"
+                                          or bool in set(map(type, outliers))
+                                          or index.min() < 0 or index.max() >= n_points):
+        raise bad
     flags = np.zeros(n_points, dtype=bool)
     flags[index.astype(np.intp)] = True
     return k, hard, flags

@@ -29,12 +29,11 @@ the shape (n, B) of the matrix:
   crosses s and interpolates on it (Wang & Lu, arXiv:1503.01002): a sort of
   2n entries and about log2(2n) evaluations of f, each a whole-matrix
   operation.  At an integer mass j, a column whose j-th and (j+1)-th largest
-  entries a and c have c <= t1 = a - 1 (as rounded) skips it: the search
-  returns t1 if f(t1) >= j > f at the next breakpoint above t1 (a, or u - 1
-  for one of the j largest u), and c if f(c) >= j > f(t1).  f is the
-  search's own sum over rows in the frame's memory order, so it is monotone
-  as computed and those two values prove the search's bits, down to its
-  1 - 2**-53 for an exact 1 when t1 rounds up.  Other columns still search.
+  entries a and c have a - c >= 1 (as computed in the frame) skips it with
+  tau = c and lands on the exact vertex: each of its j largest entries u has
+  u - c >= a - c >= 1 as rounded and clips to 1, every other entry is at
+  most c and clips to 0, so the column sums to exactly j.  Other columns
+  still search.
 """
 
 import numpy as np
@@ -68,7 +67,7 @@ def _clipped_sums(z, tau, scratch):  # over rows in z's memory order: monotone i
 
 
 def _bisect_capped(Y, mass):
-    """(frame, tau): settled where two values of f prove a vertex, else searched."""
+    """(frame, tau): settled at the exact vertex where it is one, else searched."""
     n, b = Y.shape
     top = Y.max(axis=0)
     z = np.subtract(Y, top)
@@ -80,12 +79,7 @@ def _bisect_capped(Y, mass):
         j = int(mass)
         part = np.partition(z, n - j - 1, axis=0)  # one kth: two cost 4x at n = 14
         c, a = part[n - j - 1], part[n - j:].min(axis=0)
-        t1, up = a - 1.0, part[n - j:] - 1.0
-        scratch = np.empty_like(z)
-        at_t1 = _clipped_sums(z, t1, scratch) >= mass
-        above = np.minimum(a, up.min(axis=0, initial=np.inf, where=up > t1))
-        probe = _clipped_sums(z, np.where(at_t1, above, c), scratch) >= mass
-        tau, rest = np.where(at_t1, t1, c), np.flatnonzero((c > t1) | (at_t1 == probe))
+        tau, rest = c, np.flatnonzero(a - c < 1.0)
     if rest.size == b:
         return z, _search(z, mass)
     if rest.size:  # in z's order, and never one C column alone, which would sum pairwise
@@ -125,8 +119,8 @@ def project_columns(Y, mass: float) -> np.ndarray:
     """Project every column of an (n, B) matrix onto the mass-capped simplex.
 
     Exact in O(nB log n) time and O(nB) memory, on the calling thread; a
-    column settled at a vertex costs a partition and two sums, not the
-    search.  Raises on non-finite input or a mass outside [0, n].
+    column settled at its 0/1 vertex costs a partition, not the search.
+    Raises on non-finite input or a mass outside [0, n].
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:

@@ -470,6 +470,12 @@ EXIT_CASES = {
         lambda r: r["outlier_indices"].__setitem__(0, True)))),
     "result-outlier-ge-n": (3, _eval_of(_edit_result(
         lambda r: r["outlier_indices"].__setitem__(0, 17)))),
+    "result-outlier-ragged": (3, _eval_of(_edit_result(
+        lambda r: r.update(outlier_indices=[[1], [2, 3]])))),
+    "result-outlier-nested": (3, _eval_of(_edit_result(
+        lambda r: r.update(outlier_indices=[1, [2]])))),
+    "result-outlier-nested-empty": (3, _eval_of(_edit_result(
+        lambda r: r.update(outlier_indices=[[]])))),
     # eval takes the truth of a --synth spec, which points that overflow in
     # the draw do not change
     "eval-synth-spread-overflow": (0, _eval_of(lambda text: text, SMALL + ",spread=1e308")),

@@ -217,7 +217,10 @@ def test_unit_mass_closed_form_agrees_with_the_bisection(inputs, mass, seed):
 
 def _reference_project_columns(Y, mass):
     """The projection as numpy's column scans give it, in the frame of each
-    column's largest entry, which project_columns must match bit for bit."""
+    column's largest entry, which project_columns must match bit for bit:
+    the closed form or the search, except that at an integer mass j a column
+    whose j-th and (j+1)-th largest entries a and c have a - c >= 1 takes
+    tau = c, its exact 0/1 vertex."""
     Y = np.asarray(Y, dtype=float)
     n, b = Y.shape
     if mass == 0.0:
@@ -249,6 +252,10 @@ def _reference_project_columns(Y, mass):
     f0 = f(tau0)
     active = np.count_nonzero((Z - 1.0 <= tau0) & (Z > tau0), axis=0)
     tau = np.where(active > 0, tau0 + (f0 - mass) / np.maximum(active, 1), tau0)
+    if float(mass).is_integer():  # at the vertex, tau = c clips the j largest to 1
+        j, u = int(mass), np.sort(Z, axis=0)
+        c, a = u[n - j - 1], u[n - j]
+        tau = np.where(a - c >= 1.0, c, tau)
     return np.clip((Y - top) - tau, 0.0, 1.0)
 
 
@@ -324,7 +331,7 @@ def _raised_columns(rng, n, b, mass, raise_by, base):
     """(n, b) columns whose `mass` largest entries sit raise_by above a base
     of -1 give or take 3 ulps, of a grid of eighths or of small noise.  The
     first two make ties; the first also makes columns whose vertex a
-    rounding in a - 1 or in f decides."""
+    rounding in a - c decides."""
     if base == "ulps":
         Y = -1.0 + rng.integers(-3, 4, (n, b)) * np.spacing(1.0)
     elif base == "grid":
@@ -342,7 +349,8 @@ def _raised_columns(rng, n, b, mass, raise_by, base):
 def test_vertex_columns_match_reference_bit_for_bit(delta, base, order):
     """Columns whose j largest entries are raised by 1 + delta, give or take
     2 ulps, sit on or near a vertex, where the projection settles most of
-    them without the search; it must still give the search's bits."""
+    them without the search; it must give the exact vertex there and the
+    search's bits elsewhere."""
     rng = np.random.default_rng(int(delta * 1000) + len(base))
     for _ in range(40):
         n = int(rng.integers(2, 25))
@@ -369,15 +377,60 @@ def test_inlier_step_shapes_match_reference_bit_for_bit(n_points):
                               _reference_project_columns(v[:, None], mass)[:, 0])
 
 
-def test_vertex_keeps_the_searchs_rounding():
-    """At a vertex the exact projection is 0/1, but the search returns
-    tau = a - 1 as rounded: here it rounds up to -1, so the entry a = -3 *
-    2**-55 gets 1 - 2**-53, and f(tau) still sums to the mass.  Writing
-    exact 0/1 on vertex columns would change these bits."""
+def test_vertex_is_exact_where_the_search_would_round():
+    """At a vertex the exact projection is 0/1.  The search would return
+    tau = a - 1 as rounded, which here rounds up to -1 and gives the entry
+    a = -3 * 2**-55 the weight 1 - 2**-53; tau = c gives it 1."""
     Y = np.array([[0.0], [-3 * 2.0**-55], [-2.0], [-3.0]])
     W = project_columns(Y, 2.0)
     _assert_same_bits(W, _reference_project_columns(Y, 2.0))
-    assert W[:, 0].tolist() == [1.0, 1.0 - 2.0**-53, 0.0, 0.0]
+    assert W[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0]
+    assert W[:, 0].sum() == 2.0
+
+
+@st.composite
+def _near_vertex_inputs(draw):
+    """(Y, mass) with each column's `mass` largest entries raised by
+    1 + delta, give or take 2 ulps, above a base of `_raised_columns` scaled
+    by 2**e for |e| <= 20, then shifted by up to 1e8.  The shapes take the
+    row pass (wide, mass 1), the bisection (mass 2 and above, or tall) and a
+    long vector like the v step."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["row pass", "bisection", "vector"]))
+    if shape == "row pass":
+        n = draw(st.integers(2, 20))
+        b, mass = n + draw(st.integers(1, 30)), 1
+    elif shape == "bisection":
+        n, b = draw(st.integers(3, 25)), draw(st.integers(1, 30))
+        mass = draw(st.integers(2, n - 1)) if n < b else draw(st.integers(1, n - 1))
+    else:
+        n, b = draw(st.integers(100, 3000)), 1
+        mass = n - draw(st.integers(1, n // 20))
+    delta = draw(st.sampled_from([0.0, 1e-3, 5.0]))
+    raise_by = 1.0 + delta + draw(st.integers(-2, 2)) * np.spacing(1.0 + delta)
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    base = draw(st.sampled_from(["ulps", "grid", "noise"]))
+    # raising the unscaled base by raise_by / scale and scaling is exact
+    Y = _raised_columns(rng, n, b, mass, raise_by / scale, base) * scale
+    Y += draw(st.one_of(st.just(0.0), st.floats(-1e8, 1e8)))
+    return np.asarray(Y, order=draw(st.sampled_from("CF"))), mass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_vertex_inputs())
+def test_vertex_columns_are_exact(inputs):
+    """Every column whose j-th and (j+1)-th largest entries a and c have
+    a - c >= 1 in the frame projects to exactly its 0/1 vertex, whichever
+    finder runs, and sums to exactly j."""
+    Y, mass = inputs
+    n = Y.shape[0]
+    Z = Y - Y.max(axis=0)
+    u = np.sort(Z, axis=0)
+    c, a = u[n - mass - 1], u[n - mass]
+    vertex = a - c >= 1.0
+    W = project_columns(Y, float(mass))[:, vertex]
+    _assert_same_bits(W, (Z > c)[:, vertex].astype(float))
+    assert np.all(W.sum(axis=0) == mass)
 
 
 @pytest.mark.parametrize("order", "CF")
