@@ -1,9 +1,10 @@
 """Command-line surface: single fits, multi-seed alpha-sensitivity
 sweeps, and metric evaluation of stored results.
 
-Result artifacts are deterministic: the same flags and seed always
-produce byte-identical files.  Wall time is reported on stderr only so
-it never perturbs the artifact.
+Result artifacts are deterministic: the same flags and seed produce
+byte-identical files, also under another BLAS thread count at the
+shapes the README lists under "BLAS threads".  Wall time is reported on
+stderr only so it never perturbs the artifact.
 """
 
 import argparse

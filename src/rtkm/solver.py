@@ -6,10 +6,13 @@ All solvers minimize the weighted squared-distance objective
 with the columns of W constrained to the s-capped simplex and, for RTKM,
 the inlier vector v constrained to the (N - [alpha*N])-capped simplex.
 The relaxed solver and RTKM use proximal (projected) block updates for W
-and v with fixed step divisors d, e > 1; the center update is the exact
-weighted mean.  One driver (_descend) runs the four solvers on two step
-kinds: the hard step (_hard_fit) of k-means and trimmed k-means, and the
-soft step (_pam_fit) of relaxed k-means and RTKM.
+and v with fixed step divisors d, e > 1.  One driver (_descend) runs the
+four solvers on two step kinds: the hard step (_hard_fit) of k-means and
+trimmed k-means, and the soft step (_pam_fit) of relaxed k-means and
+RTKM.  Both update the centers with one function (_weighted_means), the
+exact weighted mean X (v*W)^T / sum(v*W), summed over fixed blocks of
+points so that its bits do not change with the BLAS thread count at the
+shapes the README lists under "BLAS threads".
 """
 
 import numbers
@@ -28,6 +31,7 @@ class ConfigError(ValueError):
 W_INIT_MODES = ("hard", "random")
 INIT_MODES = ("random-points", "kmeans++")
 SUPPORT_EPS = 1e-6  # for s > 1, a point belongs to clusters whose weight exceeds this
+_POINT_BLOCK = 1024  # points per block of the center product (_weighted_means)
 
 
 def trim_count(alpha: float, n_points: int) -> int:
@@ -321,16 +325,19 @@ def _smallest(values, count):
     return flags
 
 
-def _update_centers(C, X, labels):
+def _weighted_means(C, X, vw):
     """Set each center (column of C) to the mean of the points (columns of
-    X) labelled with its index, summed in point order; label k marks a
-    trimmed point, and a cluster with no points keeps its center."""
-    k = C.shape[1]
-    counts = np.bincount(labels, minlength=k + 1)[:k]
-    filled = counts > 0
-    for row, center in zip(X, C):
-        sums = np.bincount(labels, weights=row, minlength=k + 1)[:k]
-        center[filled] = sums[filled] / counts[filled]
+    X) weighted by its row of the (k, N) weights vw: C = X vw^T / sum(vw).
+    The product is summed over fixed blocks of _POINT_BLOCK points, in
+    order, so its bits do not depend on how BLAS splits one product among
+    its threads.  A center with zero weight keeps its value."""
+    sums = np.zeros(C.shape)
+    for start in range(0, X.shape[1], _POINT_BLOCK):
+        block = slice(start, start + _POINT_BLOCK)
+        sums += X[:, block] @ vw[:, block].T
+    weights = vw.sum(axis=1)
+    filled = weights > 0.0
+    C[:, filled] = sums[:, filled] / weights[filled]
 
 
 def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: int = 1):
@@ -393,16 +400,20 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
     if trim and k > n - trim_count(alpha, n):
         raise ConfigError("k exceeds the number of untrimmed points")
     C = _start_centers(data, config, initial_centers, np.random.default_rng(config.seed))
-    distances = _distances_to(X, np.empty((k, n)))
+    buffer = np.empty((k, n))  # the distances, then the weights of the center update
+    distances = _distances_to(X, buffer)
     assign, nearest = _first_extreme(distances(C), np.minimum)
     trimmed = np.zeros(n, dtype=bool)
+    points = np.arange(n)
     stable = "partition_stable" if trim else "assignments_stable"
 
     def step(n_trim):
         nonlocal assign, nearest, trimmed
         # nearest holds the distances to the current centers
         new_trimmed = _smallest(-nearest, n_trim)
-        _update_centers(C, X, np.where(new_trimmed, k, assign))
+        buffer.fill(0.0)  # one-hot on the nearest centers, 0 on trimmed points
+        buffer[assign, points] = ~new_trimmed
+        _weighted_means(C, X, buffer)
         new_assign, nearest = _first_extreme(distances(C), np.minimum)
         repeated = np.array_equal(new_assign, assign) and np.array_equal(new_trimmed, trimmed)
         assign, trimmed = new_assign, new_trimmed
@@ -412,7 +423,7 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
     phases = (0, trim_count(alpha, n)) if trim else (0,)
     run = _descend([partial(step, n_trim) for n_trim in phases], config.max_iters, trace)
     W = np.zeros((k, n))
-    W[assign, np.arange(n)] = 1.0
+    W[assign, points] = 1.0
     v = (~trimmed).astype(float)
     return FitResult(C, W, v, *hard_assign(W, v, alpha), tuple(trace), *run)
 
@@ -440,11 +451,8 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
     trace = []
 
     def step():
-        nonlocal C, W, v
-        vw = np.multiply(v, W, out=work)
-        den = vw.sum(axis=1)
-        ok = den > 0.0
-        C = np.where(ok, (X @ vw.T) / np.where(ok, den, 1.0), C)
+        nonlocal W, v
+        _weighted_means(C, X, np.multiply(v, W, out=work))
         G = distances(C)
         update = np.multiply(v, G, out=work)
         update /= config.step_d

@@ -173,11 +173,12 @@ def test_traced_benchmark_targets_resolve():
             assert callable(getattr(sys.modules[module], name, None)), (layer, module, name)
 
 
-def run_fresh(code, *args):
+def run_fresh(code, *args, **env):
     """Run `code` in a fresh interpreter that imports rtkm from this
-    checkout's src, and return its stdout."""
+    checkout's src, with the environment variables env added, and return
+    its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -222,6 +223,35 @@ def test_cli_runs_without_scipy(tmp_path):
         assert run(argv) == 0
     for name in ("fit.json", "eval.json", "sweep.csv"):
         assert (blocked / name).read_bytes() == (normal / name).read_bytes(), name
+
+
+# N = 10000 points, past the size from which OpenBLAS splits the (16, N) x
+# (N, 50) center product among threads
+THREADED = "k=50,dim=16,points=198,outliers=100,separation=3.0,seed=1"
+
+
+def test_fit_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """An rtkm fit (the soft engine) and a trimmed fit (the hard engine,
+    trimming points across several 1024-point blocks) write the same bytes
+    under one and two BLAS threads."""
+    fits = {
+        "rtkm.json": ["fit", "--algorithm", "rtkm", "--synth", THREADED, "--standardize",
+                      "--k", "50", "--alpha", "0.01", "--max-iters", "30"],
+        "trimmed.json": ["fit", "--algorithm", "trimmed", "--synth", THREADED,
+                         "--k", "50", "--alpha", "0.01"],
+    }
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        run_fresh(
+            "import json, sys\n"
+            "from rtkm.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n",
+            json.dumps([argv + ["--out", str(out / name)] for name, argv in fits.items()]),
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    for name in fits:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_csv_pipeline(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from rtkm import (
     objective_rtkm,
     trim_count,
 )
-from rtkm.solver import (INIT_MODES, SUPPORT_EPS, _first_extreme, _smallest, _update_centers,
+from rtkm.solver import (INIT_MODES, SUPPORT_EPS, _first_extreme, _smallest, _weighted_means,
                          squared_distances)
 
 from conftest import make_blobs_with_outliers
@@ -601,25 +602,53 @@ def test_smallest_matches_a_stable_argsort(n, seed, data):
         np.testing.assert_array_equal(_smallest(x, count), want)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 6), st.integers(1, 80), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_update_centers_equals_the_per_cluster_means(m, n, k, seed):
-    """The bincount update gives, bit for bit, the means the hard engine
-    took cluster by cluster with X[:, members].mean(axis=1).  With m >= 2
-    that slice is F-ordered, so its mean sums in point order, as bincount
-    does; label k marks a trimmed point."""
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([1, 1023, 1024, 1025, 3000]), st.integers(1, 5),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_weighted_means_equals_the_per_cluster_means(m, n, k, one_hot, seed):
+    """Each center becomes its points' weighted mean, with N on both sides
+    of the product's 1024-point block edges, within a relative 1e-12 of
+    the sum of the terms' magnitudes (the reference sums exactly).  The
+    weights are one-hot (the hard engine's) or fractional (the soft
+    engine's); a trimmed point has weight 0 everywhere, and a center with
+    no weight keeps its value bit for bit."""
     rng = np.random.default_rng(seed)
-    X = rng.normal(0.0, 1.0, (m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
-    X[rng.random((m, n)) < 0.1] = -0.0
-    labels = rng.integers(0, k + 1, n)
+    X = rng.normal(0.0, 1.0, (m, n)) * 10.0 ** rng.integers(-3, 4, (m, 1))
+    if one_hot:
+        vw = np.zeros((k, n))
+        vw[rng.integers(0, k, n), np.arange(n)] = 1.0
+    else:
+        vw = rng.random((k, n))
+        vw[rng.random((k, n)) < 0.3] = 0.0
+    vw[:, rng.random(n) < 0.2] = 0.0  # trimmed points
+    vw[rng.random(k) < 0.3] = 0.0  # empty clusters
     C = rng.normal(size=(m, k))
-    want = C.copy()
-    for j in range(k):
-        if (labels == j).any():
-            want[:, j] = X[:, labels == j].mean(axis=1)
-    _update_centers(C, X, labels)
-    np.testing.assert_array_equal(C, want)
-    np.testing.assert_array_equal(np.signbit(C), np.signbit(want))
+    before = C.copy()
+    _weighted_means(C, X, vw)
+    for j, weights in enumerate(vw):
+        if not weights.any():
+            assert C[:, j].tobytes() == before[:, j].tobytes()
+            continue
+        terms = X * weights
+        want = [math.fsum(row) / math.fsum(weights) for row in terms]
+        scale = np.abs(terms).sum(axis=1) / weights.sum()
+        assert np.all(np.abs(C[:, j] - want) <= 1e-12 * scale), j
+
+
+@pytest.mark.parametrize("fit, w_init", [(fit_kmeans, "random"), (fit_trimmed_kmeans, "random"),
+                                         (fit_rtkm, "hard")])
+def test_a_start_center_with_no_weight_keeps_its_value(fit, w_init):
+    """A start center far from every point is nearest to none, so it gets
+    no weight in any step and comes back as it went in, with no nan from a
+    0/0 mean."""
+    data = generate_synthetic(k=3, points=50, outliers=2, seed=42)
+    cfg = SolverConfig(k=4, alpha=2 / 152, seed=0, w_init=w_init)
+    centers0 = np.column_stack([init_centers(data, dataclasses.replace(cfg, k=3)),
+                                [1e3, -1e3]])
+    result = fit(data, cfg, initial_centers=centers0)
+    assert not np.isnan(result.centers).any()
+    assert result.centers[:, 3].tobytes() == centers0[:, 3].tobytes()
+    assert not result.assignments[3].any()
 
 
 @pytest.mark.parametrize("fit", [fit_relaxed_kmeans, fit_rtkm])
