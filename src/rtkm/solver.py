@@ -117,10 +117,10 @@ class SolverConfig:
     w_init: str = "random"
 
     def __post_init__(self):
-        for field in fields(self):  # an int field takes no bool, a float field any real
+        for field in fields(self):  # int fields take integers, float fields reals; no bools
             value = getattr(self, field.name)
             kind = {int: numbers.Integral, float: numbers.Real}.get(field.type, field.type)
-            if not isinstance(value, kind) or field.type is int and isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{field.name} must be {field.type.__name__}, not {value!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
@@ -172,36 +172,23 @@ class FitResult:
         return tuple(map(frozenset, self.label_lists()))
 
 
-def _centred(points):
-    """points about their column mean: (mean, centred points, squared norms
-    of the centred columns)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught later
-        mean = points.mean(axis=1, keepdims=True)
-        centred = points - mean
-        return mean, centred, np.einsum("ij,ij->j", centred, centred)
-
-
-def squared_distances(points: np.ndarray, centers: np.ndarray, norms=None,
+def squared_distances(points: np.ndarray, centers: np.ndarray, norms: np.ndarray,
                       out=None) -> np.ndarray:
-    """(k, N) matrix of squared Euclidean distances ||x_i - c_j||^2.
+    """(k, N) matrix of squared Euclidean distances ||x_i - c_j||^2 of
+    centred points, given norms, their squared column norms.
 
     Computed as ||x_i||^2 - 2 c_j.x_i + ||c_j||^2 with one matrix product.
     That expansion cancels when the points lie far from the origin relative
-    to their spread, so without norms the points and centers are first
-    moved by the points' mean.  Passing norms, the squared column norms of
-    points, says that the caller has already done so (as each fit does
-    once).  An entry within the expansion's rounding error of 0, (m+2) ulps
-    of the norms, is 0: a center that equals a point is at distance exactly
-    0, and no entry is negative.  out, a C-contiguous (k, N) float array,
-    receives the matrix.
+    to their spread, so the points and centers are moved by the points'
+    mean first: _distances_to does so, once per fit.  An entry within the
+    expansion's rounding error of 0, (m+2) ulps of the norms, is 0: a
+    center that equals a point is at distance exactly 0, and no entry is
+    negative.  out, a C-contiguous (k, N) float array, receives the matrix.
 
     Raises FloatingPointError when a distance overflows to a non-finite
     value.
     """
-    if norms is None:
-        mean, points, norms = _centred(np.asarray(points, dtype=float))
-        centers = np.asarray(centers, dtype=float) - mean
-    elif np.shape(norms) != points.shape[1:]:
+    if np.shape(norms) != points.shape[1:]:
         raise ValueError("norms must hold one value per point")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
         d2 = np.matmul(centers.T * -2.0, points, out=out)
@@ -222,11 +209,16 @@ def squared_distances(points: np.ndarray, centers: np.ndarray, norms=None,
     return d2
 
 
-def _distances_to(points, out):
-    """The function of the centers that writes their squared distances to
-    points into out, with points centred and their norms taken once."""
-    mean, centred, norms = _centred(points)
-    return lambda centers: squared_distances(centred, centers - mean, norms, out)
+def _distances_to(points):
+    """The function distances(centers, out=None) of the (k, N) squared
+    distances from the centers to the columns of points, written into out
+    if given.  It is the one place that centres points: they are moved by
+    their mean, and their norms taken, once, here."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught later
+        mean = points.mean(axis=1, keepdims=True)
+        centred = points - mean
+        norms = np.einsum("ij,ij->j", centred, centred)
+    return lambda centers, out=None: squared_distances(centred, centers - mean, norms, out)
 
 
 def _first_extreme(matrix, extreme):
@@ -266,7 +258,7 @@ def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
         raise ConfigError("membership matrix must be k x N")
     if inliers.shape != (data.n_points,):
         raise ConfigError("inlier vector length must equal N")
-    distances = squared_distances(data.points, centers)
+    distances = _distances_to(data.points)(centers)
     with np.errstate(over="ignore", invalid="ignore"):  # the sums raise
         per_point = _total(memberships * distances, axis=0)
         return float(_total(inliers * per_point))
@@ -275,11 +267,13 @@ def objective_rtkm(data: Dataset, centers: np.ndarray, memberships: np.ndarray,
 def init_centers(data: Dataset, config: SolverConfig) -> np.ndarray:
     """Seeded initial centers: k distinct data columns (random-points) or
     squared-distance-proportional sampling (kmeans++)."""
-    return _start_centers(data, config, None, np.random.default_rng(config.seed))
+    return _start_centers(data, config, None, np.random.default_rng(config.seed),
+                          _distances_to(data.points))
 
 
-def _start_centers(data, config, initial_centers, rng):
-    """A validated copy of initial_centers, or k centers drawn with rng."""
+def _start_centers(data, config, initial_centers, rng, distances):
+    """A validated copy of initial_centers, or k centers drawn with rng;
+    kmeans++ measures with distances, the fit's _distances_to."""
     X = data.points
     k, n = config.k, data.n_points
     if k > n:
@@ -294,10 +288,8 @@ def _start_centers(data, config, initial_centers, rng):
     if config.init == "random-points":
         idx = rng.choice(n, size=k, replace=False)
         return X[:, idx].copy()
-    # kmeans++, with the points centred once for the distance kernel
-    _, centred, norms = _centred(X)
-    idx = [int(rng.integers(n))]
-    d2 = squared_distances(centred, centred[:, idx], norms)[0]
+    idx = [int(rng.integers(n))]  # kmeans++
+    d2 = distances(X[:, idx])[0]
     for _ in range(1, k):
         total = _total(d2)
         if total <= 0:
@@ -306,21 +298,18 @@ def _start_centers(data, config, initial_centers, rng):
         else:
             nxt = int(rng.choice(n, p=d2 / total))
         idx.append(nxt)
-        np.minimum(d2, squared_distances(centred, centred[:, [nxt]], norms)[0], out=d2)
+        np.minimum(d2, distances(X[:, [nxt]])[0], out=d2)
     return X[:, idx].copy()
 
 
 def _smallest(values, count):
-    """Flags of the count smallest of the N values (count <= N), ties to
-    the lowest index: the set np.argsort(values, kind="stable")[:count]
+    """Flags of the count smallest of the N values (count <= N, no nan),
+    ties to the lowest index: the set np.argsort(values, kind="stable")[:count]
     gives, found by one partition instead of a sort."""
     if count == 0:
         return np.zeros(values.size, dtype=bool)
     kth = np.partition(values, count - 1)[count - 1]
-    if np.isnan(kth):  # argsort puts nan last
-        flags, ties = ~np.isnan(values), np.isnan(values)
-    else:
-        flags, ties = values < kth, values == kth
+    flags, ties = values < kth, values == kth
     flags[np.flatnonzero(ties)[:count - np.count_nonzero(flags)]] = True
     return flags
 
@@ -345,11 +334,10 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
 
     Returns a (k, N) boolean assignment matrix and the (N,) outlier flags.
     s=1 assigns each point to its cluster of largest weight (ties to the
-    lowest index; the weights must be finite);
-    s>1 to every cluster with weight above SUPPORT_EPS.  The [alpha*N]
-    points of smallest v (ties to the lowest index) are flagged as outliers
-    and assigned to no cluster.  W must be a (k, N) matrix, s lie in
-    [1, k], alpha in [0, 1), and v have N entries.
+    lowest index); s>1 to every cluster with weight above SUPPORT_EPS.  The
+    [alpha*N] points of smallest v (ties to the lowest index) are flagged
+    as outliers and assigned to no cluster.  W must be a finite (k, N)
+    matrix, s lie in [1, k], alpha in [0, 1), and v have N finite entries.
     """
     w = np.asarray(memberships, dtype=float)
     v = np.asarray(inliers, dtype=float)
@@ -360,6 +348,8 @@ def hard_assign(memberships: np.ndarray, inliers: np.ndarray, alpha: float, s: i
         raise ConfigError("alpha must lie in [0, 1)")
     if v.shape != (n,):
         raise ConfigError("inlier vector length must equal N")
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise ConfigError("memberships and inliers must be finite")
     flags = _smallest(v, trim_count(alpha, n))
     if s == 1:
         assigned = np.zeros((k, n), dtype=bool)
@@ -399,10 +389,11 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
     alpha = config.alpha if trim else 0.0
     if trim and k > n - trim_count(alpha, n):
         raise ConfigError("k exceeds the number of untrimmed points")
-    C = _start_centers(data, config, initial_centers, np.random.default_rng(config.seed))
+    distances = _distances_to(X)
+    C = _start_centers(data, config, initial_centers, np.random.default_rng(config.seed),
+                       distances)
     buffer = np.empty((k, n))  # the distances, then the weights of the center update
-    distances = _distances_to(X, buffer)
-    assign, nearest = _first_extreme(distances(C), np.minimum)
+    assign, nearest = _first_extreme(distances(C, buffer), np.minimum)
     trimmed = np.zeros(n, dtype=bool)
     points = np.arange(n)
     stable = "partition_stable" if trim else "assignments_stable"
@@ -414,7 +405,7 @@ def _hard_fit(data: Dataset, config: SolverConfig, initial_centers, trim: bool) 
         buffer.fill(0.0)  # one-hot on the nearest centers, 0 on trimmed points
         buffer[assign, points] = ~new_trimmed
         _weighted_means(C, X, buffer)
-        new_assign, nearest = _first_extreme(distances(C), np.minimum)
+        new_assign, nearest = _first_extreme(distances(C, buffer), np.minimum)
         repeated = np.array_equal(new_assign, assign) and np.array_equal(new_trimmed, trimmed)
         assign, trimmed = new_assign, new_trimmed
         return float(_total(nearest[~trimmed])), stable if repeated else None
@@ -438,30 +429,30 @@ def _pam_fit(data: Dataset, config: SolverConfig, alpha: float, initial_centers=
         raise ConfigError("alpha trims every point; no inliers remain")
     inlier_mass = n - n_out
 
+    distances = _distances_to(X)
     rng = np.random.default_rng(config.seed)  # draws the centers, then W
-    C = _start_centers(data, config, initial_centers, rng)
+    C = _start_centers(data, config, initial_centers, rng, distances)
     v = np.full(n, inlier_mass / n)
-    distances = _distances_to(X, np.empty((k, n)))  # the buffer G lives in
+    G = np.empty((k, n))  # the distances to the centers
     if config.w_init == "random":
         W = project_columns(rng.random((k, n)), float(s))
     else:  # "hard": 1 on each point's s nearest start centers
         W = np.zeros((k, n))
-        np.put_along_axis(W, np.argsort(distances(C), axis=0, kind="stable")[:s], 1.0, axis=0)
+        np.put_along_axis(W, np.argsort(distances(C, G), axis=0, kind="stable")[:s], 1.0, axis=0)
     work = np.empty((k, n))  # each (k, N) temporary of an iteration in turn
     trace = []
 
     def step():
         nonlocal W, v
         _weighted_means(C, X, np.multiply(v, W, out=work))
-        G = distances(C)
+        distances(C, G)
         update = np.multiply(v, G, out=work)
         update /= config.step_d
         np.subtract(W, update, out=work)
         del W  # freed before the projection allocates its output
         W = project_columns(work, float(s))
         per_point = _total(np.multiply(W, G, out=work), axis=0)  # finite for the v step
-        if n_out > 0:
-            v = project_mass(v - per_point / config.step_e, float(inlier_mass))
+        v = project_mass(v - per_point / config.step_e, float(inlier_mass))
         obj = float(_total(v * per_point))
         stationary = trace and abs(trace[-1] - obj) <= config.tol * max(1.0, trace[-1])
         return obj, "objective_stationary" if stationary else None

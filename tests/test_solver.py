@@ -24,8 +24,8 @@ from rtkm import (
     objective_rtkm,
     trim_count,
 )
-from rtkm.solver import (INIT_MODES, SUPPORT_EPS, _first_extreme, _smallest, _weighted_means,
-                         squared_distances)
+from rtkm.solver import (INIT_MODES, SUPPORT_EPS, _distances_to, _first_extreme, _smallest,
+                         _weighted_means, squared_distances)
 
 from conftest import make_blobs_with_outliers
 
@@ -126,7 +126,7 @@ def test_squared_distances_properties(inputs):
     where a center is a copy of a point.  Given the norms of centred points
     it writes the same matrix into out."""
     points, centers, copied = inputs
-    d2 = squared_distances(points, centers)
+    d2 = _distances_to(points)(centers)
     want = cdist(centers.T, points.T, metric="sqeuclidean")
     assert d2.shape == want.shape
     np.testing.assert_allclose(d2, want, rtol=0, atol=1e-12 * want.max())
@@ -142,7 +142,7 @@ def test_squared_distances_properties(inputs):
 
 
 def test_squared_distances_to_no_centers_is_empty():
-    assert squared_distances(np.ones((2, 3)), np.zeros((2, 0))).shape == (0, 3)
+    assert _distances_to(np.ones((2, 3)))(np.zeros((2, 0))).shape == (0, 3)
     ds = Dataset(np.arange(6.0).reshape(2, 3))
     assert objective_rtkm(ds, np.zeros((2, 0)), np.zeros((0, 3)), np.ones(3)) == 0.0
 
@@ -171,7 +171,7 @@ def test_squared_distances_overflow_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError):
-            squared_distances(OVERFLOWING.points, OVERFLOWING.points[:, :2])
+            _distances_to(OVERFLOWING.points)(OVERFLOWING.points[:, :2])
 
 
 # Every squared distance of these two is finite.  A point's loss sums two
@@ -287,16 +287,23 @@ def _kmeanspp_reference(X, k, rng):
        st.data())
 def test_kmeanspp_picks_the_points_of_the_direct_formula(n, m, seed, coarse, scale, offset,
                                                          data):
-    """kmeans++ takes its distances from squared_distances and picks the
-    points that the direct formula picks, also among duplicate points (a
-    coarse grid) and far from the origin."""
+    """kmeans++ takes its distances from the fit's distance function and
+    picks the points that the direct formula picks, also among duplicate
+    points (a coarse grid), far from the origin and in the F order
+    load_csv returns.  A kmeans fit opens its trace at exactly the
+    objective of those centers."""
     rng = np.random.default_rng(seed)
     X = rng.integers(-2, 3, (m, n)).astype(float) if coarse else rng.normal(0.0, 1.0, (m, n))
-    X = X * scale + offset
+    X = np.asarray(X * scale + offset, order=data.draw(st.sampled_from("CF")))
+    ds = Dataset(X)
     cfg = SolverConfig(k=data.draw(st.integers(1, n)), seed=data.draw(st.integers(0, 99)),
                        init="kmeans++")
     want = _kmeanspp_reference(X, cfg.k, np.random.default_rng(cfg.seed))
-    np.testing.assert_array_equal(init_centers(Dataset(X), cfg), X[:, want])
+    centers = init_centers(ds, cfg)
+    np.testing.assert_array_equal(centers, X[:, want])
+    nearest = np.eye(cfg.k)[:, _distances_to(X)(centers).argmin(axis=0)]
+    start = objective_rtkm(ds, centers, nearest, np.ones(n))
+    assert fit_kmeans(ds, cfg).objective_trace[0] == start
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
@@ -590,11 +597,11 @@ def test_hard_assign_inlier_without_support_is_empty():
 def test_smallest_matches_a_stable_argsort(n, seed, data):
     """The partition-based selection picks the set a stable argsort's first
     count entries give: ties (0.0 and -0.0 among them) go to the lowest
-    indices, and nan counts as the largest value."""
+    indices, also among infinite values."""
     rng = np.random.default_rng(seed)
     values = rng.integers(-3, 4, n) / 2  # many ties
     values[rng.random(n) < 0.2] = -0.0
-    values[rng.random(n) < 0.1] = rng.choice([np.inf, -np.inf, np.nan])
+    values[rng.random(n) < 0.1] = rng.choice([np.inf, -np.inf])
     count = data.draw(st.integers(0, n))
     for x in (values, -values):
         want = np.zeros(n, dtype=bool)
@@ -963,6 +970,9 @@ def test_config_takes_numpy_scalars():
     (lambda: SolverConfig(k=2, tol="0"), "tol must be float"),
     (lambda: SolverConfig(k=2, step_d="2"), "step_d must be float"),
     (lambda: SolverConfig(k=2, step_e=None), "step_e must be float"),
+    (lambda: SolverConfig(k=3, tol=True), "tol must be float, not True"),
+    (lambda: SolverConfig(k=3, alpha=False), "alpha must be float, not False"),
+    (lambda: SolverConfig(k=3, step_d=True), "step_d must be float, not True"),
     (lambda: SolverConfig(k=2, init="bogus"), "init"),
     (lambda: SolverConfig(k=2, w_init="bogus"), "w_init"),
     (lambda: objective_rtkm(Dataset([[0.0, 1.0]]), [0.0], [[1.0, 1.0]], np.ones(2)),
@@ -984,6 +994,10 @@ def test_config_takes_numpy_scalars():
     (lambda: hard_assign(np.ones((2, 3)), np.ones(3), 0.0, 0), "1 <= s <= k"),
     (lambda: hard_assign(np.ones((2, 3)), np.ones(3), 0.0, 3), "1 <= s <= k"),
     (lambda: hard_assign(np.ones(3), np.ones(3), 0.0), "matrix"),
+    (lambda: hard_assign([[np.nan, 0.2], [0.9, 0.8]], np.ones(2), 0.0), "must be finite"),
+    (lambda: hard_assign([[np.inf, 0.2], [0.9, 0.8]], np.ones(2), 0.0, 2), "must be finite"),
+    (lambda: hard_assign(np.eye(2), [np.nan, 1.0], 0.5), "must be finite"),
+    (lambda: hard_assign(np.eye(2), [1.0, -np.inf], 0.0), "must be finite"),
 ])
 def test_library_input_checks(make, match):
     with pytest.raises(ConfigError, match=match):
