@@ -2,8 +2,10 @@
 noise injection."""
 
 import csv
+import io
 import logging
-from itertools import chain, islice
+from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +36,7 @@ def parse_label_spec(text):
     return (kind, value)
 
 
-def load_csv(path, label_spec=None) -> Dataset:
+def load_csv(path, label_spec=None, *, digest=None) -> Dataset:
     """Load a comma-separated numeric table with an optional header row,
     one record per row, as a Dataset with one truth row per class.
 
@@ -44,22 +46,29 @@ def load_csv(path, label_spec=None) -> Dataset:
     included; no record is a truth outlier.  Malformed rows raise
     DataError naming the offending row.
 
-    Each record is parsed into the float table as it is read, so the load
-    holds the table and one record at a time, not every cell as text.
+    The file is read once, so path may name a pipe.  Each record is
+    parsed into the float table as it is read, so the load holds the table,
+    each row's record number and one record at a time, not every cell as
+    text.  A digest (a hashlib object) given is updated with every byte
+    read: after a load that returns, with the whole file.
     """
     label_spec = parse_label_spec(label_spec)
-    with _open_csv(path) as fh:
+    with open(path, "rb", buffering=0) as raw:
+        # utf-8-sig drops the byte order mark that a UTF-8 "with BOM" export
+        # puts first; left in the first cell, it made that record a header
+        fh = io.TextIOWrapper(io.BufferedReader(raw if digest is None else _Hashing(raw, digest)),
+                              encoding="utf-8-sig", newline="")
         records = _records(path, fh)
         first = next(records, None)
         if first is None:
             raise DataError(f"{path}: no data rows")
-        header = not all(map(_is_number, first[1]))
-        if header:
+        if not all(map(_is_number, first[1])):  # a header
             first = next(records, None)
             if first is None:
                 raise DataError(f"{path}: no data rows after header")
         width = len(first[1])
         last, error = first, None
+        numbers = array("q")  # the record number of each table row
 
         def rows():
             # each record is checked, numbered and dropped as the table takes it
@@ -69,6 +78,7 @@ def load_csv(path, label_spec=None) -> Dataset:
                     error = DataError(f"{path}: row {last[0]} has {len(last[1])} fields, "
                                       f"expected {width}")
                     return
+                numbers.append(last[0])
                 yield last[1]
 
         try:
@@ -92,7 +102,7 @@ def load_csv(path, label_spec=None) -> Dataset:
     finite = np.isfinite(table)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
-        raise DataError(f"{path}: row {_record_number(path, int(r), header)}, column {c}: "
+        raise DataError(f"{path}: row {numbers[r]}, column {c}: "
                         f"non-finite value {float(table[r, c])!r}")
 
     # points are the transpose of a C-ordered (N, m) table: a BLAS product's
@@ -117,15 +127,24 @@ def load_csv(path, label_spec=None) -> Dataset:
     bad = (block != 0.0) & (block != 1.0)
     if bad.any():
         r, c = np.argwhere(bad)[0]
-        raise DataError(f"{path}: row {_record_number(path, int(r), header)}: "
+        raise DataError(f"{path}: row {numbers[r]}: "
                         f"indicator column value {float(block[r, c])} is not 0/1")
     return Dataset(np.ascontiguousarray(table[:, : width - arg]).T, block.T == 1.0)
 
 
-def _open_csv(path):
-    # utf-8-sig drops the byte order mark that a UTF-8 "with BOM" export
-    # puts first; left in the first cell, it made that record a header
-    return open(path, newline="", encoding="utf-8-sig")
+class _Hashing(io.RawIOBase):
+    """The raw binary file raw, read through, each chunk also fed to digest."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        count = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:count])
+        return count
 
 
 def _records(path, fh):
@@ -141,13 +160,6 @@ def _records(path, fh):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise DataError(f"{path}: row {number + 1}: {exc}") from None
-
-
-def _record_number(path, row, header):
-    """The record number of table row `row` (from 0) of a file that load_csv
-    has read through, found by reading it again: the table keeps none."""
-    with _open_csv(path) as fh:
-        return next(islice(_records(path, fh), row + header, None))[0]
 
 
 def _is_number(cell):
@@ -241,19 +253,14 @@ def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation
     means, half = _synthetic_layout(k, dim, points, outliers, spread, separation,
                                     box_scale, seed)
     rng = np.random.default_rng(seed)
-    n = k * points + outliers
-    # one (k, dim, points) draw takes the same normals as k per-cluster draws;
-    # it is scaled, shifted and copied in place, so it and the output are the
-    # only arrays of the points' size
-    blobs = rng.standard_normal((k, dim, points))
+    out = np.empty((dim, k * points + outliers))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below as a data error
-        blobs *= spread
-        blobs += means[:, :, None]
-    if not np.isfinite(blobs).all():
+        for j, mean in enumerate(means):
+            blob = out[:, j * points:(j + 1) * points]
+            np.multiply(rng.standard_normal((dim, points)), spread, out=blob)
+            blob += mean[:, None]
+    if not np.isfinite(out[:, :k * points]).all():
         raise DataError("synthetic points overflow; lower spread or separation")
-    out = np.empty((dim, n))
-    out[:, :k * points].reshape(dim, k, points)[...] = blobs.transpose(1, 0, 2)
-    del blobs
     out[:, k * points:] = rng.uniform(-half, half, (dim, outliers))
     # truth last: its place sets peak_rss_mb under a never-trimmed heap (ROADMAP item 8)
     return Dataset(out, *_synthetic_owner_truth(k, points, outliers))

@@ -74,6 +74,35 @@ def exhaustive_average_f1(pred_sets, truth_sets):
     return best / n_truth
 
 
+def exact_trimmed_minimum(points, k, s, n_trim):
+    """Minimum of sum_j sum_{i in S_j} ||x_i - mean(S_j)||^2 over every set
+    of n_trim trimmed points of the (m, N) points and every choice of s of
+    the k clusters S_j for each kept point; an empty cluster adds 0.  The
+    C(k, s)^(N - n_trim) C(N, n_trim) configurations are enumerated at once
+    (tiny instances only).
+
+    It is the global minimum of sum_i v_i sum_j w_ji ||x_i - c_j||^2 over
+    (C, W, v) with the columns of W on the s-capped simplex and v on the
+    (N - n_trim)-capped one: for fixed centers the best W puts each point
+    on its s nearest centers, whatever v is, the best v then keeps the
+    N - n_trim smallest losses, and the best centers of a configuration
+    are its cluster means."""
+    from itertools import combinations
+
+    X = np.asarray(points, dtype=float).T  # (N, m)
+    n = len(X)
+    # a point's options: each s-set of clusters, then (with n_trim) trimmed
+    options = [[j in chosen for j in range(k)] for chosen in combinations(range(k), s)]
+    options = np.array(options + [[False] * k] * (n_trim > 0))
+    labels = np.indices((len(options),) * n).reshape(n, -1).T  # (configurations, N)
+    labels = labels[(labels == len(options) - 1).sum(axis=1) == n_trim] if n_trim else labels
+    members = options[labels].transpose(0, 2, 1)  # (configurations, k, N)
+    counts = members.sum(axis=2, keepdims=True)
+    means = (members @ X) / np.maximum(counts, 1)  # (configurations, k, m)
+    deviations = ((X - means[:, :, None, :]) ** 2).sum(axis=3)  # (configurations, k, N)
+    return float(np.where(members, deviations, 0.0).sum(axis=(1, 2)).min())
+
+
 def make_blobs_with_outliers(gen_seed=42, spread=0.6, per_cluster=50,
                              outliers=((120.0, 120.0), (-110.0, 90.0))):
     """Three well-separated 2-d Gaussian blobs plus fixed far outliers."""

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -173,17 +174,64 @@ def test_traced_benchmark_targets_resolve():
             assert callable(getattr(sys.modules[module], name, None)), (layer, module, name)
 
 
+def fresh_env(**env):
+    """os.environ with env added and this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(code, *args, **env):
     """Run `code` in a fresh interpreter that imports rtkm from this
     checkout's src, with the environment variables env added, and return
     its stdout."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(**env),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def run_piped(argv, data):
+    """Run `python -m rtkm.cli argv` in a fresh interpreter with the bytes
+    data piped to its stdin; returns the finished process."""
+    return subprocess.run([sys.executable, "-m", "rtkm.cli", *argv], input=data,
+                          env=fresh_env(), capture_output=True, timeout=120)
+
+
+# a byte order mark and a blank record, read through a pipe
+PIPED_CSV = b"\xef\xbb\xbfx,y,class\n0.1,0.2,0\n0.3,0.1,0\n\n5.2,4.9,2\n4.8,5.1,2\n20,-15,1\n"
+
+
+def test_piped_data_is_hashed_as_it_is_parsed(tmp_path):
+    """--data /dev/stdin is read once: fit's manifest and eval's report
+    carry the sha256 of the bytes piped in."""
+    res = tmp_path / "res.json"
+    dataset = ["--data", "/dev/stdin", "--labels", "col:-1", "--outlier-classes", "1"]
+    proc = run_piped(["fit", "--algorithm", "trimmed", *dataset, "--k", "2",
+                      "--alpha", "0.2", "--out", str(res)], PIPED_CSV)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(PIPED_CSV).hexdigest()
+    assert json.loads(res.read_text())["manifest"]["dataset"]["sha256"] == digest
+    proc = run_piped(["eval", "--result", str(res), *dataset], PIPED_CSV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dataset"]["sha256"] == digest
+
+
+@pytest.mark.parametrize("table, labels, message", [
+    (b"0.5,1\n2.0,inf\n3.0,0\n", [], "row 2, column 1: non-finite value inf"),
+    (b"0.5,1\n2.0,2\n3.0,0\n", ["--labels", "last:1"],
+     "row 2: indicator column value 2.0 is not 0/1"),
+], ids=["non-finite", "indicator"])
+def test_piped_bad_cell_is_named_as_in_a_file(tmp_path, capsys, table, labels, message):
+    """A bad cell in a pipe is a data error naming its record, as in a file."""
+    argv = ["fit", "--algorithm", "kmeans", *labels, "--k", "1"]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(table)
+    assert main(argv + ["--data", str(path), "--out", str(tmp_path / "f.json")]) == 3
+    assert f"{path}: {message}" in capsys.readouterr().err
+    proc = run_piped(argv + ["--data", "/dev/stdin", "--out", str(tmp_path / "p.json")], table)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.decode() == f"error: /dev/stdin: {message}\n"
 
 
 def test_import_loads_no_scipy():

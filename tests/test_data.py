@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,24 @@ def test_load_bad_indicator_value(tmp_path):
     path.write_text("1,2,2\n")
     with pytest.raises(DataError, match="row 1"):
         load_csv(path, "last:1")
+
+
+@pytest.mark.parametrize("text", [
+    b"x,y\n0.5,1.5\n2.5,3.5\n",
+    b"\xef\xbb\xbfx,c\n\n1.0,0\n,\n2.0,1\n\n",
+    b"\xef\xbb\xbf" + b"".join(b"%d.25,%d,1\n\n" % (i, -i) for i in range(3000)),
+], ids=["header", "bom-and-blank-records", "many-reads"])
+def test_load_digest_is_the_files_and_changes_no_table(tmp_path, text):
+    """A digest passed to load_csv ends as that of the whole file (its byte
+    order mark, header and blank records too); the table is the same."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    digest = hashlib.sha256()
+    data = load_csv(path, "col:1", digest=digest)
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    plain = load_csv(path, "col:1")
+    assert data.points.tobytes() == plain.points.tobytes()
+    np.testing.assert_array_equal(data.truth_memberships, plain.truth_memberships)
 
 
 def test_roundtrip(tmp_path):

@@ -27,7 +27,7 @@ from rtkm import (
 from rtkm.solver import (INIT_MODES, SUPPORT_EPS, _distances_to, _first_extreme, _smallest,
                          _weighted_means, squared_distances)
 
-from conftest import make_blobs_with_outliers
+from conftest import exact_trimmed_minimum, make_blobs_with_outliers
 
 
 def random_dataset(seed, n_max=200, m_max=5):
@@ -685,6 +685,43 @@ def test_monotone_descent_all_solvers():
             cfg = SolverConfig(k=3, s=s, alpha=alpha, seed=seed, max_iters=200)
             trace = np.array(fit(ds, cfg).objective_trace)
             assert np.all(np.diff(trace) <= 1e-9), f"{name} seed {seed}"
+
+
+@st.composite
+def _tiny_instance(draw):
+    """(points, k, s, [alpha*N], seed, init) with N <= 8 points, at least
+    k of them kept.  Coordinates come from a few values, some 1e-9 apart,
+    so that points repeat and distances nearly tie, or from a range."""
+    k = draw(st.integers(1, 3))
+    s = draw(st.integers(1, k))
+    n_trim = draw(st.integers(0, 2))
+    n = draw(st.integers(k + n_trim, 8))
+    m = draw(st.integers(1, 2))
+    coordinate = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1e-9, 1.0, 1.0 + 1e-9, 3.0]),
+                           st.floats(-3.0, 3.0))
+    points = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n),
+                           min_size=m, max_size=m))
+    return (np.array(points), k, s, n_trim, draw(st.integers(0, 2**16)),
+            draw(st.sampled_from(INIT_MODES)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tiny_instance())
+def test_no_fit_ends_below_the_global_minimum(instance):
+    """Every final objective is a value of the objective at a feasible
+    (C, W, v), so none lies below the enumerated global minimum by more
+    than rounding."""
+    points, k, s, n_trim, seed, init = instance
+    data = Dataset(points)
+    alpha = n_trim / data.n_points
+    assert trim_count(alpha, data.n_points) == n_trim
+    tol = 1e-9 * (1.0 + float(((points - points.mean(axis=1, keepdims=True)) ** 2).sum()))
+    for fit, fit_s, fit_alpha in ((fit_kmeans, 1, 0.0), (fit_relaxed_kmeans, s, 0.0),
+                                  (fit_trimmed_kmeans, 1, alpha), (fit_rtkm, s, alpha)):
+        final = fit(data, SolverConfig(k=k, s=fit_s, alpha=fit_alpha, seed=seed,
+                                       init=init)).objective_trace[-1]
+        minimum = exact_trimmed_minimum(points, k, fit_s, trim_count(fit_alpha, data.n_points))
+        assert final >= minimum - tol, (fit.__name__, final, minimum)
 
 
 def test_determinism():
