@@ -5,7 +5,6 @@ import csv
 import io
 import logging
 from array import array
-from itertools import chain
 
 import numpy as np
 
@@ -44,7 +43,9 @@ def load_csv(path, label_spec=None, *, digest=None) -> Dataset:
     or 'last:K' for K trailing 0/1 indicator columns (see
     parse_label_spec).  A record may have any number of classes, none
     included; no record is a truth outlier.  Malformed rows raise
-    DataError naming the offending row.
+    DataError naming the offending row by its record number from 1, blank
+    records counted; so do text that is not UTF-8 and a record that csv
+    refuses.
 
     The file is read once, so path may name a pipe.  Each record is
     parsed into the float table as it is read, so the load holds the table,
@@ -53,52 +54,48 @@ def load_csv(path, label_spec=None, *, digest=None) -> Dataset:
     read: after a load that returns, with the whole file.
     """
     label_spec = parse_label_spec(label_spec)
+    table, numbers = array("d"), array("q")  # the cells, and the record number of each row
+    number, header, width, error = 0, None, None, None
     with open(path, "rb", buffering=0) as raw:
         # utf-8-sig drops the byte order mark that a UTF-8 "with BOM" export
         # puts first; left in the first cell, it made that record a header
         fh = io.TextIOWrapper(io.BufferedReader(raw if digest is None else _Hashing(raw, digest)),
                               encoding="utf-8-sig", newline="")
-        records = _records(path, fh)
-        first = next(records, None)
-        if first is None:
-            raise DataError(f"{path}: no data rows")
-        if not all(map(_is_number, first[1])):  # a header
-            first = next(records, None)
-            if first is None:
-                raise DataError(f"{path}: no data rows after header")
-        width = len(first[1])
-        last, error = first, None
-        numbers = array("q")  # the record number of each table row
-
-        def rows():
-            # each record is checked, numbered and dropped as the table takes it
-            nonlocal last, error
-            for last in chain([first], records):
-                if len(last[1]) != width:
-                    error = DataError(f"{path}: row {last[0]} has {len(last[1])} fields, "
-                                      f"expected {width}")
-                    return
-                numbers.append(last[0])
-                yield last[1]
-
         try:
-            table = np.fromiter(map(float, chain.from_iterable(rows())), dtype=float)
-        except DataError:  # the file could not be read on
-            raise
-        except ValueError:
-            number, cells = last
-            col, cell = next((col, cell) for col, cell in enumerate(cells)
-                             if not _is_number(cell))
-            error = DataError(f"{path}: row {number}, column {col}: "
-                              f"non-numeric value {cell.strip()!r}")
-        if error is not None:
-            # a reading error further on wins, as it did when the whole file
-            # was read before any cell
-            for _ in records:
-                pass
-            raise error
+            for number, cells in enumerate(csv.reader(fh), 1):
+                # after a bad record the file is read to its end: a reading
+                # error further on wins
+                if error is not None or not any(cell.strip() for cell in cells):
+                    continue
+                if header is None:
+                    header = not all(map(_is_number, cells))
+                    if header:
+                        continue
+                if width is None:
+                    width = len(cells)
+                if len(cells) != width:
+                    error = DataError(f"{path}: row {number} has {len(cells)} fields, "
+                                      f"expected {width}")
+                    continue
+                try:
+                    table.extend(map(float, cells))
+                except ValueError:
+                    col, cell = next((col, cell) for col, cell in enumerate(cells)
+                                     if not _is_number(cell))
+                    error = DataError(f"{path}: row {number}, column {col}: "
+                                      f"non-numeric value {cell.strip()!r}")
+                else:
+                    numbers.append(number)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {number + 1}: {exc}") from None
+    if error is not None:
+        raise error
+    if width is None:
+        raise DataError(f"{path}: no data rows{' after header' if header else ''}")
 
-    table = table.reshape(-1, width)
+    table = np.frombuffer(table).reshape(-1, width)
     finite = np.isfinite(table)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
@@ -145,21 +142,6 @@ class _Hashing(io.RawIOBase):
         count = self._raw.readinto(buffer)
         self._digest.update(memoryview(buffer)[:count])
         return count
-
-
-def _records(path, fh):
-    """(record number from 1, cells) of each record of the CSV file fh that
-    has a non-blank cell.  Text that is not UTF-8 and a record that csv
-    refuses raise DataError."""
-    number = 0
-    try:
-        for number, cells in enumerate(csv.reader(fh), 1):
-            if any(cell.strip() for cell in cells):
-                yield number, cells
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: row {number + 1}: {exc}") from None
 
 
 def _is_number(cell):
@@ -262,7 +244,6 @@ def generate_synthetic(k=3, dim=2, points=50, outliers=2, spread=0.5, separation
     if not np.isfinite(out[:, :k * points]).all():
         raise DataError("synthetic points overflow; lower spread or separation")
     out[:, k * points:] = rng.uniform(-half, half, (dim, outliers))
-    # truth last: its place sets peak_rss_mb under a never-trimmed heap (ROADMAP item 8)
     return Dataset(out, *_synthetic_owner_truth(k, points, outliers))
 
 

@@ -30,7 +30,10 @@ class ConfigError(ValueError):
 
 W_INIT_MODES = ("hard", "random")
 INIT_MODES = ("random-points", "kmeans++")
-SUPPORT_EPS = 1e-6  # for s > 1, a point belongs to clusters whose weight exceeds this
+# For s > 1, a point belongs to the clusters whose weight exceeds this.  Not
+# 0: the projection's breakpoint search leaves residues near 1e-16 on weights
+# that are 0 in exact arithmetic, most of them on flagged outliers.
+SUPPORT_EPS = 1e-6
 _POINT_BLOCK = 1024  # points per block of the center product (_weighted_means)
 
 
@@ -105,6 +108,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The settings of one fit, checked on construction.
+
+    init draws every solver's start centers.  step_d, step_e, tol and
+    w_init are read by the soft solvers (relaxed, rtkm) only; a hard fit
+    (kmeans, trimmed) stops when its partition repeats.  Under
+    w_init="random" the first soft step replaces the start centers with the
+    means of the random W (ROADMAP item 1).  alpha is read by rtkm and
+    trimmed only.  s must be 1 for kmeans and trimmed.
+    """
+
     k: int
     s: int = 1
     alpha: float = 0.0
@@ -144,15 +157,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The end state of a fit.  A hard fit's objective_trace opens with
+    the objective at its start centers, so it has iterations + 1 entries; a
+    soft fit's has iterations.  converged is false exactly when stop_reason
+    is "max_iters"."""
+
     centers: np.ndarray  # (m, k)
     memberships: np.ndarray  # (k, N)
     inliers: np.ndarray  # (N,), all ones for the non-robust solvers
     assignments: np.ndarray  # (k, N) bool: the hard clusters of each point
     outlier_flags: np.ndarray  # (N,) bool
-    objective_trace: tuple
-    iterations: int
+    objective_trace: tuple  # floats, one per step (a hard fit's one more)
+    iterations: int  # steps taken, over every phase
     converged: bool
-    stop_reason: str
+    stop_reason: str  # the last phase's: e.g. "partition_stable", "max_iters"
 
     def label_lists(self) -> list:
         """Each point's cluster indices in increasing order, one tuple per

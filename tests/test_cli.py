@@ -511,6 +511,8 @@ EXIT_CASES = {
                                       "--labels", "col:0", "--k", "1",
                                       "--out", str(t / "r.json")]),
     "eval-csv-no-features": (3, _eval_csv("0\n1\n0\n1\n", "--labels", "col:0")),
+    # eval --data reads every cell through fit's loader, feature cells too
+    "eval-csv-non-finite-feature": (3, _eval_csv("0.5,0\ninf,1\n2.0,0\n", "--labels", "col:-1")),
     "csv-empty": (3, lambda t: ["fit", "--algorithm", "kmeans", "--data", _csv(t, ""),
                                 "--k", "1", "--out", str(t / "r.json")]),
     "labels-col-out-of-range": (3, lambda t: ["fit", "--algorithm", "kmeans",

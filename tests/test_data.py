@@ -260,6 +260,17 @@ def test_load_reports_invalid_utf8_after_an_earlier_bad_record(tmp_path, fault):
         load_csv(path)
 
 
+@pytest.mark.parametrize("fault", ["1,oops", "1"])
+def test_load_reports_an_oversized_field_after_an_earlier_bad_record(tmp_path, fault):
+    """A field over the csv module's limit in record 4 wins over a
+    non-numeric cell or a missing field in record 2: the load reads on past
+    a bad record."""
+    path = tmp_path / "late.csv"
+    path.write_text(f"1.0,1\n{fault}\n3.0,1\n4.0,{'1' * 200000}\n5.0,1\n")
+    with pytest.raises(DataError, match="late.csv: row 4: field larger than field limit"):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("prefix", ["", "x,y\n1,2\n"])
 def test_load_names_the_record_with_an_oversized_field(tmp_path, prefix):
     path = tmp_path / "big.csv"
